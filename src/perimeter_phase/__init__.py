@@ -3,7 +3,7 @@
 The package builds and measures the objects behind that limit: 1D
 transition profiles, recovery states for sharp pairs, annulus gluings,
 barrier competitors, constrained gradient descent, and exact discrete
-tools (harmonic replacement, a brute-force 1D sharp oracle), all on
+tools (harmonic replacement, a closed-form 1D sharp oracle), all on
 uniform grids over intervals, boxes, and balls.
 """
 

@@ -633,7 +633,7 @@ def _initial_state(cfg: dict) -> PhaseState:
     right = float(cfg["boundary"]["right"])
     x = domain.nodes_x
     if initial == "linear":
-        vals = left + (right - left) * (x - x[0]) / (x[-1] - x[0])
+        vals = minimize._affine_start(x, left, right)
     else:
         vals = np.zeros_like(x)
         vals[0], vals[-1] = left, right
@@ -805,9 +805,9 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as f:
             cfg = json.load(f)
-        cfg = parse_config(args.command, cfg)
-        if args.seed is not None:
+        if args.seed is not None and isinstance(cfg, dict):
             cfg["seed"] = args.seed
+        cfg = parse_config(args.command, cfg)
         out_dir = args.out if args.out is not None else cfg.get("out", ".")
         os.makedirs(out_dir, exist_ok=True)
         rng = _rng(cfg.get("seed", 0))

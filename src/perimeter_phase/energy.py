@@ -56,6 +56,16 @@ class ScalarField:
         return ScalarField(self.domain, self.values.copy())
 
 
+def _check_amplitude(values: np.ndarray, bound_m: float) -> None:
+    if not (bound_m > 0):
+        raise DomainError(f"bound_m must be positive, got {bound_m}")
+    sup = float(np.max(np.abs(values))) if values.size else 0.0
+    if sup > bound_m + _SIGN_TOL:
+        raise DomainError(
+            f"field exceeds the amplitude bound: sup |u| = {sup} > M = {bound_m}"
+        )
+
+
 @dataclass
 class PhaseState:
     """A field together with its scale eps and amplitude bound M."""
@@ -67,13 +77,7 @@ class PhaseState:
     def __post_init__(self):
         if not (self.epsilon > 0):
             raise DomainError(f"epsilon must be positive, got {self.epsilon}")
-        if not (self.bound_m > 0):
-            raise DomainError(f"bound_m must be positive, got {self.bound_m}")
-        sup = float(np.max(np.abs(self.field.values))) if self.field.values.size else 0.0
-        if sup > self.bound_m + _SIGN_TOL:
-            raise DomainError(
-                f"field exceeds the amplitude bound: sup |u| = {sup} > M = {self.bound_m}"
-            )
+        _check_amplitude(self.field.values, self.bound_m)
 
     @property
     def domain(self) -> Domain:
@@ -104,13 +108,7 @@ class SharpPair:
             self.mask = np.asarray(self.mask, dtype=bool)
             if self.mask.shape != self.field.domain.node_shape:
                 raise InvalidPairError("mask shape does not match the grid")
-        if not (self.bound_m > 0):
-            raise DomainError(f"bound_m must be positive, got {self.bound_m}")
-        sup = float(np.max(np.abs(self.field.values)))
-        if sup > self.bound_m + _SIGN_TOL:
-            raise DomainError(
-                f"field exceeds the amplitude bound: sup |u| = {sup} > M = {self.bound_m}"
-            )
+        _check_amplitude(self.field.values, self.bound_m)
         mask = self.node_mask()
         vals = self.field.values
         if np.any(vals[mask] < -_SIGN_TOL) or np.any(vals[~mask] > _SIGN_TOL):
@@ -161,26 +159,38 @@ def _cell_weights(domain: Domain, subdomain: Optional[Region]) -> np.ndarray:
     return w
 
 
-def _gradient_square_density(field: ScalarField) -> np.ndarray:
-    """Per-cell squared forward-difference gradient."""
-    v = field.values
-    h = field.domain.h
-    if field.domain.dim == 1:
-        return (np.diff(v) / h) ** 2
-    gx = np.diff(v, axis=0)[:, :-1] / h
-    gy = np.diff(v, axis=1)[:-1, :] / h
-    return gx * gx + gy * gy
+def _forward_differences(values: np.ndarray):
+    """Per-cell forward differences of a node array: (dx,) or (dx, dy)."""
+    if values.ndim == 1:
+        return (np.diff(values),)
+    return np.diff(values, axis=0)[:, :-1], np.diff(values, axis=1)[:-1, :]
 
 
-def _anchor_values(field: ScalarField) -> np.ndarray:
-    if field.domain.dim == 1:
-        return field.values[:-1]
-    return field.values[:-1, :-1]
+def _cell_density(
+    values: np.ndarray, h: Optional[float] = None, epsilon: Optional[float] = None
+) -> np.ndarray:
+    """Diffuse energy density per cell of a raw node array.
+
+    The squared forward-difference gradient when h is given, plus the
+    well w(u_anchor / sqrt(eps)) / eps at the cell's anchor node when
+    epsilon is given.  Works on bare arrays so the descent's inner loop
+    builds no field objects.
+    """
+    dens = None
+    if h is not None:
+        for diff in _forward_differences(values):
+            grad = diff / h
+            dens = grad * grad if dens is None else dens + grad * grad
+    if epsilon is not None:
+        anchors = values[:-1] if values.ndim == 1 else values[:-1, :-1]
+        well = potential.w(anchors / math.sqrt(epsilon)) / epsilon
+        dens = well if dens is None else dens + well
+    return dens
 
 
 def dirichlet_energy(field: ScalarField, subdomain: Optional[Region] = None) -> float:
     """Sum of |forward-difference gradient|^2 times cell weights."""
-    dens = _gradient_square_density(field)
+    dens = _cell_density(field.values, h=field.domain.h)
     return float(np.sum(dens * _cell_weights(field.domain, subdomain)))
 
 
@@ -190,8 +200,7 @@ def well_energy(
     """Sum of w(u / sqrt(eps)) / eps at anchor nodes times cell weights."""
     if not (epsilon > 0):
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    anchors = _anchor_values(field)
-    dens = potential.w(anchors / math.sqrt(epsilon)) / epsilon
+    dens = _cell_density(field.values, epsilon=epsilon)
     return float(np.sum(dens * _cell_weights(field.domain, subdomain)))
 
 
@@ -225,17 +234,10 @@ def _mask_interface_length(
 ) -> float:
     if subdomain is None:
         return geometry.interface_length(mask, domain)
-    # Count only interface segments in cells at least half covered by the
-    # subdomain (and, on ball domains, at least half covered by the domain).
+    # Count only interface in cells at least half covered by the subdomain.
     include = geometry.region_cell_fraction(subdomain, domain) >= 0.5
-    if domain.kind == "ball":
-        include = include & (domain.cell_weights >= 0.5 * domain.h * domain.h)
-    vals = np.where(mask, 1.0, -1.0)
-    if domain.dim == 1:
-        inside = vals >= 0
-        return float(np.sum((inside[:-1] != inside[1:]) & include))
-    lengths = geometry.per_cell_interface_lengths(vals, domain)
-    return float(np.sum(lengths * include) * domain.h)
+    total = np.sum(geometry.per_cell_interface_lengths(mask, domain) * include)
+    return float(total * domain.h if domain.dim == 2 else total)
 
 
 def tv_phase(state: PhaseState) -> float:
@@ -246,12 +248,10 @@ def tv_phase(state: PhaseState) -> float:
     grid's facet area.
     """
     p = potential.h_tilde(state.values / math.sqrt(state.epsilon))
-    domain = state.domain
-    if domain.dim == 1:
-        return float(np.sum(np.abs(np.diff(p))))
-    dx = np.diff(p, axis=0)[:, :-1]
-    dy = np.diff(p, axis=1)[:-1, :]
-    return float(np.sum(np.hypot(dx, dy)) * domain.h)
+    diffs = _forward_differences(p)
+    if len(diffs) == 1:
+        return float(np.sum(np.abs(diffs[0])))
+    return float(np.sum(np.hypot(*diffs)) * state.domain.h)
 
 
 def modica_mortola_split(state: PhaseState) -> MMSplit:

@@ -9,7 +9,8 @@ complement, union, and intersection.
 Two perimeter notions coexist deliberately: ``exact_perimeter`` answers
 with closed-form geometry for the supported region shapes, while
 ``interface_length`` measures a discrete interface from node samples by
-marching squares with linear interpolation.  Tests compare the two.
+a table-driven marching squares with linear interpolation.  Tests compare
+the two.
 """
 
 from __future__ import annotations
@@ -187,11 +188,7 @@ def region_cell_fraction(region: "Region", domain: Domain) -> np.ndarray:
     clip(1/2 + sd(center) / h, 0, 1) per cell; exact when the region
     boundary is a grid line, within O(h) of the true fraction otherwise.
     """
-    if domain.dim == 1:
-        sd = region.signed_distance(domain.cell_x)
-    else:
-        sd = region.signed_distance(domain.cell_x, domain.cell_y)
-    sd = np.asarray(sd, dtype=float)
+    sd = np.asarray(region.signed_distance(domain.cell_x, domain.cell_y), dtype=float)
     with np.errstate(invalid="ignore"):
         frac = np.clip(0.5 + sd / domain.h, 0.0, 1.0)
     # +/- inf signed distances (full / empty space) clip cleanly.
@@ -401,11 +398,7 @@ def region_from_dict(data: dict) -> Region:
 
 def rasterize(region: Region, domain: Domain) -> np.ndarray:
     """Boolean node mask of the region (sd >= 0 counts inside)."""
-    if domain.dim == 1:
-        sd = region.signed_distance(domain.nodes_x)
-    else:
-        sd = region.signed_distance(domain.nodes_x, domain.nodes_y)
-    return np.asarray(sd) >= 0.0
+    return np.asarray(region.signed_distance(domain.nodes_x, domain.nodes_y)) >= 0.0
 
 
 def _disc_perimeter_in_ball(disc: Disc, domain: Domain) -> float:
@@ -513,87 +506,86 @@ def exact_perimeter(region: Region, domain: Domain) -> float:
     )
 
 
-# Marching-squares segment table.  Corner bits: 1 = (0,0), 2 = (1,0),
-# 4 = (1,1), 8 = (0,1); a set bit means the corner value is >= 0.  Edge
-# names: B bottom, R right, T top, L left.  Saddle cases 5 and 10 are
-# resolved by the cell average and handled separately.
-_MS_SEGMENTS = {
-    1: (("L", "B"),),
-    2: (("B", "R"),),
-    3: (("L", "R"),),
-    4: (("R", "T"),),
-    6: (("B", "T"),),
-    7: (("T", "L"),),
-    8: (("T", "L"),),
-    9: (("B", "T"),),
-    11: (("R", "T"),),
-    12: (("L", "R"),),
-    13: (("B", "R"),),
-    14: (("L", "B"),),
-}
+# Marching-squares case table in the manner of Lorensen & Cline (1987).
+# A cell's case sets bit 1 for corner (0,0), 2 for (1,0), 4 for (1,1) and
+# 8 for (0,1) when that corner value is >= 0.  Each row lists the case's
+# two segments as pairs of edges (bottom, right, top, left); an unused
+# segment joins an edge to itself and has length zero.  Rows 5 and 10 are
+# the saddles with a negative cell average, which cut off the inside
+# corners; a saddle with a nonnegative average joins its inside corners
+# and so takes the row of the opposite saddle, 15 - case.
+_B, _R, _T, _L = range(4)
+_NONE = (_B, _B)
+_MS_TABLE = np.array(
+    [
+        (_NONE, _NONE),  # 0
+        ((_L, _B), _NONE),  # 1
+        ((_B, _R), _NONE),  # 2
+        ((_L, _R), _NONE),  # 3
+        ((_R, _T), _NONE),  # 4
+        ((_L, _B), (_R, _T)),  # 5
+        ((_B, _T), _NONE),  # 6
+        ((_T, _L), _NONE),  # 7
+        ((_T, _L), _NONE),  # 8
+        ((_B, _T), _NONE),  # 9
+        ((_B, _R), (_T, _L)),  # 10
+        ((_R, _T), _NONE),  # 11
+        ((_L, _R), _NONE),  # 12
+        ((_B, _R), _NONE),  # 13
+        ((_L, _B), _NONE),  # 14
+        (_NONE, _NONE),  # 15
+    ]
+)
 
 
-def _edge_points(v00, v10, v11, v01):
-    def param(a, b):
-        denom = a - b
-        t = np.where(denom != 0.0, a / np.where(denom == 0.0, 1.0, denom), 0.5)
-        return np.clip(t, 0.0, 1.0)
-
-    tb = param(v00, v10)
-    tr = param(v10, v11)
-    tt = param(v01, v11)
-    tl = param(v00, v01)
-    return {
-        "B": (tb, np.zeros_like(tb)),
-        "R": (np.ones_like(tr), tr),
-        "T": (tt, np.ones_like(tt)),
-        "L": (np.zeros_like(tl), tl),
-    }
+def _crossing(a, b):
+    """Linear zero crossing along an edge from value a to value b, in [0, 1]."""
+    denom = a - b
+    t = np.where(denom != 0.0, a / np.where(denom == 0.0, 1.0, denom), 0.5)
+    return np.clip(t, 0.0, 1.0)
 
 
-def per_cell_interface_lengths(vals: np.ndarray, domain: Domain) -> np.ndarray:
-    """Marching-squares segment length per cell, in units of the cell side.
+def per_cell_interface_lengths(values: np.ndarray, domain: Domain) -> np.ndarray:
+    """Interface length of {values >= 0} per cell, in units of a cell facet.
 
-    vals must be float node samples; {vals >= 0} counts inside.  Saddle
-    cells are split according to the sign of the cell average.
+    Boolean input is mapped to +/- 1.  In 1D a cell counts 1 where the
+    sign changes across it.  In 2D marching squares joins linearly
+    interpolated edge crossings, in units of the cell side h, and saddle
+    cells are split according to the sign of the cell average.  On ball
+    domains only cells at least half covered by the domain count.
     """
-    v00 = vals[:-1, :-1]
-    v10 = vals[1:, :-1]
-    v11 = vals[1:, 1:]
-    v01 = vals[:-1, 1:]
-    case = (
-        (v00 >= 0.0).astype(np.int8)
-        + 2 * (v10 >= 0.0).astype(np.int8)
-        + 4 * (v11 >= 0.0).astype(np.int8)
-        + 8 * (v01 >= 0.0).astype(np.int8)
-    )
-    pts = _edge_points(v00, v10, v11, v01)
+    if values.dtype == bool:
+        vals = np.where(values, 1.0, -1.0)
+    else:
+        vals = np.asarray(values, dtype=float)
+    if domain.dim == 1:
+        inside = vals >= 0.0
+        return (inside[:-1] != inside[1:]).astype(float)
 
-    def seg_len(e1, e2):
-        (x1, y1), (x2, y2) = pts[e1], pts[e2]
-        return np.hypot(x1 - x2, y1 - y2)
-
-    total = np.zeros_like(v00)
-    for c, segments in _MS_SEGMENTS.items():
-        mask = case == c
-        if not mask.any():
-            continue
-        for e1, e2 in segments:
-            total = np.where(mask, total + seg_len(e1, e2), total)
-
+    corners = (vals[:-1, :-1], vals[1:, :-1], vals[1:, 1:], vals[:-1, 1:])
+    case = sum((1 << k) * (c >= 0.0) for k, c in enumerate(corners))
+    cut = (case != 0) & (case != 15)
+    if domain.kind == "ball":
+        cut &= domain.cell_weights >= 0.5 * domain.h * domain.h
+    v00, v10, v11, v01 = (c[cut] for c in corners)
+    case = case[cut]
     avg = 0.25 * (v00 + v10 + v11 + v01)
-    for c, inside_pairs, outside_pairs in (
-        (5, (("B", "R"), ("T", "L")), (("L", "B"), ("R", "T"))),
-        (10, (("L", "B"), ("R", "T")), (("B", "R"), ("T", "L"))),
-    ):
-        mask = case == c
-        if not mask.any():
-            continue
-        pairs_len_in = sum(seg_len(a, b) for a, b in inside_pairs)
-        pairs_len_out = sum(seg_len(a, b) for a, b in outside_pairs)
-        total = np.where(
-            mask, total + np.where(avg >= 0.0, pairs_len_in, pairs_len_out), total
-        )
+    saddle = (case == 5) | (case == 10)
+    case = np.where(saddle & (avg >= 0.0), 15 - case, case)
+
+    tb, tr = _crossing(v00, v10), _crossing(v10, v11)
+    tt, tl = _crossing(v01, v11), _crossing(v00, v01)
+    zero, one = np.zeros_like(tb), np.ones_like(tb)
+    xs = np.stack((tb, one, tt, zero))
+    ys = np.stack((zero, tr, one, tl))
+    ends = _MS_TABLE[case]
+    cells = np.arange(case.size)[:, None]
+    lengths = np.hypot(
+        xs[ends[..., 0], cells] - xs[ends[..., 1], cells],
+        ys[ends[..., 0], cells] - ys[ends[..., 1], cells],
+    )
+    total = np.zeros(cut.shape)
+    total[cut] = lengths[:, 0] + lengths[:, 1]
     return total
 
 
@@ -611,17 +603,5 @@ def interface_length(values: np.ndarray, domain: Domain) -> float:
         raise DomainError(
             f"values shape {values.shape} does not match grid {domain.node_shape}"
         )
-    if values.dtype == bool:
-        vals = np.where(values, 1.0, -1.0)
-    else:
-        vals = values.astype(float)
-
-    if domain.dim == 1:
-        inside = vals >= 0.0
-        return float(np.sum(inside[:-1] != inside[1:]))
-
-    total = per_cell_interface_lengths(vals, domain)
-    if domain.kind == "ball":
-        include = domain.cell_weights >= 0.5 * domain.h * domain.h
-        total = total * include
-    return float(np.sum(total) * domain.h)
+    total = np.sum(per_cell_interface_lengths(values, domain))
+    return float(total * domain.h if domain.dim == 2 else total)

@@ -173,18 +173,12 @@ def _ramp_energy_on_sandwich(
 ) -> float:
     """Ramp energy over cells whose anchor lies in the annulus with the
     ramp strictly between the two states."""
-    field = ScalarField(domain, ramp)
-    dens = energy_mod._gradient_square_density(field)
-    if domain.dim == 1:
-        anchors = ramp[:-1]
-        rad_a = radial[:-1]
-        lo_a, hi_a = inner_vals[:-1], outer_vals[:-1]
-    else:
-        anchors = ramp[:-1, :-1]
-        rad_a = radial[:-1, :-1]
-        lo_a, hi_a = inner_vals[:-1, :-1], outer_vals[:-1, :-1]
-    dens = dens + potential.w(anchors / math.sqrt(epsilon)) / epsilon
-    sandwich = (lo_a < anchors) & (anchors < hi_a)
+    dens = energy_mod._cell_density(ramp, domain.h, epsilon)
+    anchor = slice(None, -1)
+    if domain.dim == 2:
+        anchor = (anchor, anchor)
+    anchors, rad_a = ramp[anchor], radial[anchor]
+    sandwich = (inner_vals[anchor] < anchors) & (anchors < outer_vals[anchor])
     in_annulus = (rad_a > spec.rho) & (rad_a < spec.outer_radius)
     return float(np.sum(dens * domain.cell_weights * (sandwich & in_annulus)))
 

@@ -17,8 +17,8 @@ the exact first variation of the discrete Dirichlet sum, the replacement
 is its unique minimizer among fields with those boundary values, and the
 discrete minimum principle keeps it positive when the boundary is.
 
-sharp_oracle_1d minimizes the 1D sharp functional over single-interface
-candidates by brute force and returns the closed-form-checked optimum.
+sharp_oracle_1d returns the closed-form minimizer of the 1D sharp
+functional over single-interface candidates.
 """
 
 from __future__ import annotations
@@ -120,37 +120,20 @@ def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResul
     if base_step is None:
         base_step = 0.9 * domain.h * domain.h / (4.0 * domain.dim)
 
-    # Inlined energy of the working array: identical to e_eps but without
-    # rebuilding state objects in the inner loop.
-    h = domain.h
-    cell_w = domain.cell_weights
-    root_eps = math.sqrt(epsilon)
-
     def total_energy(vals: np.ndarray) -> float:
-        if domain.dim == 1:
-            grad = np.diff(vals) / h
-            dens = grad * grad
-            anchors = vals[:-1]
-        else:
-            gx = np.diff(vals, axis=0)[:, :-1] / h
-            gy = np.diff(vals, axis=1)[:-1, :] / h
-            dens = gx * gx + gy * gy
-            anchors = vals[:-1, :-1]
-        dens = dens + potential.w(anchors / root_eps) / epsilon
-        return float(np.sum(dens * cell_w))
+        dens = energy_mod._cell_density(vals, domain.h, epsilon)
+        return float(np.sum(dens * domain.cell_weights))
 
     current = total_energy(u)
     energies = [current]
-    grad_sup = math.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iters + 1):
+    # Each pass measures stationarity at the current iterate, whose index
+    # is the number of steps taken; the last pass only measures.
+    for iterations in range(config.max_iters + 1):
         g = energy_gradient(u, domain, epsilon)
         projected = _project(u - g, bound_m, boundary, boundary_values)
         grad_sup = float(np.max(np.abs(u - projected)))
-        if grad_sup <= config.tol_grad:
-            converged = True
-            iterations -= 1
+        converged = grad_sup <= config.tol_grad
+        if converged or iterations == config.max_iters:
             break
         step = base_step
         for _ in range(_MAX_HALVINGS + 1):
@@ -166,14 +149,8 @@ def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResul
             )
         u = trial
         current = trial_energy
-        if iterations % config.record_every == 0:
+        if (iterations + 1) % config.record_every == 0:
             energies.append(current)
-    else:
-        # Ran out of iterations; report the last projected gradient.
-        g = energy_gradient(u, domain, epsilon)
-        projected = _project(u - g, bound_m, boundary, boundary_values)
-        grad_sup = float(np.max(np.abs(u - projected)))
-        converged = grad_sup <= config.tol_grad
 
     state = PhaseState(ScalarField(domain, u), epsilon, bound_m)
     return MinimizeResult(
@@ -282,43 +259,18 @@ def sharp_oracle_1d(a: float, b: float) -> OracleResult1D:
     """Minimize the 1D sharp energy with boundary values -a and +b.
 
     Candidates are piecewise affine: zero at a single interface point x0,
-    affine to the boundary values, plus one interface cost; and the wider
-    family with a flat zero interval, which is never better.  The brute
-    force scan is cross-checked against the closed form
+    affine to the boundary values, plus one interface cost, with energy
+    a^2 / (1 + x0) + b^2 / (1 - x0) + cost; a flat zero interval between
+    two points only adds Dirichlet energy.  The minimum is the closed form
     x0 = (a - b) / (a + b), energy = (a + b)^2 / 2 + interface cost.
     """
     if not (a > 0 and b > 0):
         raise DomainError(f"boundary magnitudes must be positive, got {a}, {b}")
-    xs = np.linspace(-1.0, 1.0, 100001)[1:-1]
-    energies = a * a / (1.0 + xs) + b * b / (1.0 - xs) + potential.C0
-    best = int(np.argmin(energies))
-    x0 = float(xs[best])
-    e_best = float(energies[best])
-
-    x_closed = (a - b) / (a + b)
-    e_closed = 0.5 * (a + b) ** 2 + potential.C0
-    if abs(x0 - x_closed) > 1e-4 or abs(e_best - e_closed) > 1e-6:
-        raise NumericError(
-            "brute-force scan disagrees with the closed form: "
-            f"x0 {x0} vs {x_closed}, energy {e_best} vs {e_closed}"
-        )
-
-    # A flat zero interval [x1, x2] costs a^2/(1+x1) + b^2/(1-x2) plus the
-    # same interface cost and is minimized as the interval degenerates, so
-    # the single-point family wins; scan a coarse grid to confirm.
-    grid = np.linspace(-0.999, 0.999, 201)
-    x1g, x2g = np.meshgrid(grid, grid, indexing="ij")
-    valid = x1g <= x2g
-    flat = np.where(
-        valid, a * a / (1.0 + x1g) + b * b / (1.0 - x2g) + potential.C0, np.inf
-    )
-    if float(flat.min()) < e_closed - 1e-9:
-        raise NumericError("flat-interval family beat the closed form")
-
+    x0 = (a - b) / (a + b)
     return OracleResult1D(
-        interface=x_closed,
-        energy=e_closed,
-        knot_x=np.array([-1.0, x_closed, 1.0]),
+        interface=x0,
+        energy=0.5 * (a + b) ** 2 + potential.C0,
+        knot_x=np.array([-1.0, x0, 1.0]),
         knot_y=np.array([-a, 0.0, b]),
     )
 
@@ -342,6 +294,17 @@ def sign_change_locations(field: ScalarField) -> np.ndarray:
         t = v[i] / (v[i] - v[i + 1])
         out.append(x[i] + t * (x[i + 1] - x[i]))
     return np.asarray(out)
+
+
+def _affine_start(x: np.ndarray, left: float, right: float) -> np.ndarray:
+    """Affine interpolant of the boundary values on nodes x, exact at both ends.
+
+    left + (right - left) * 1 can round one ULP away from right, so the
+    endpoints are set afterwards.
+    """
+    vals = left + (right - left) * (x - x[0]) / (x[-1] - x[0])
+    vals[0], vals[-1] = left, right
+    return vals
 
 
 @dataclass(frozen=True)
@@ -391,7 +354,7 @@ def continuation_sweep(
     oracle = sharp_oracle_1d(a_mag, b_mag)
 
     x = domain.nodes_x
-    u0 = left_value + (right_value - left_value) * (x - x[0]) / (x[-1] - x[0])
+    u0 = _affine_start(x, left_value, right_value)
     current = PhaseState(ScalarField(domain, u0), eps[0], bound_m)
     entries: List[SweepEntry] = []
     oracle_vals = oracle.value(x)

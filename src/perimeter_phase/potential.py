@@ -11,9 +11,10 @@ maps come with it:
   variation of ``h_tilde`` composed with a state counts interfaces in
   multiples of 2 (one full swing from -1 to +1).
 
-``h_tilde_inverse`` is the numerical inverse of the monotone cubic
-``t * (3 - t^2) / 2`` on [-1, 1]; it is used when converting a target
-phase value back into the amplitude variable.
+``h_tilde_inverse`` inverts the monotone cubic ``t * (3 - t^2) / 2`` on
+[-1, 1] in closed form (the trigonometric solution of the cubic); it is
+used when converting a target phase value back into the amplitude
+variable.
 """
 
 from __future__ import annotations
@@ -75,37 +76,15 @@ def h_tilde(t):
 def h_tilde_inverse(y):
     """Inverse of ``h_tilde`` restricted to [-1, 1].
 
-    Bisection (48 rounds) followed by a guarded Newton polish.  The
-    derivative (3/2)(1 - t^2) degenerates at the endpoints, so Newton
-    steps are only applied where the slope is safely bounded away from
-    zero, and the exact saturation inputs +/-1 map to +/-1 exactly.
-    Absolute accuracy is better than 1e-12 except within a few ULPs of
-    y = +/-1, where the vertical tangent of the inverse caps what any
-    double-precision root finder can resolve.
+    Closed form t = 2 sin(arcsin(y) / 3): with t = 2 sin(a) the cubic
+    t * (3 - t^2) / 2 is sin(3a).  The saturation inputs +/-1 map to +/-1
+    exactly, which the rounded sine alone would miss by one ULP.
     """
     y = _as_array(y)
     if np.any(np.abs(y) > 1.0 + 1e-12):
         raise ValueError("h_tilde_inverse requires values in [-1, 1]")
     yc = np.clip(y, -1.0, 1.0)
-
-    lo = np.full(yc.shape, -1.0)
-    hi = np.full(yc.shape, 1.0)
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        fmid = 0.5 * mid * (3.0 - mid * mid)
-        take_hi = fmid < yc
-        lo = np.where(take_hi, mid, lo)
-        hi = np.where(take_hi, hi, mid)
-    t = 0.5 * (lo + hi)
-
-    for _ in range(3):
-        slope = 1.5 * (1.0 - t * t)
-        safe = slope > 1e-6
-        resid = 0.5 * t * (3.0 - t * t) - yc
-        step = np.where(safe, resid / np.where(safe, slope, 1.0), 0.0)
-        t = np.clip(t - step, -1.0, 1.0)
-
-    t = np.where(yc == 1.0, 1.0, np.where(yc == -1.0, -1.0, t))
+    t = np.where(np.abs(yc) == 1.0, yc, 2.0 * np.sin(np.arcsin(yc) / 3.0))
     return _scalar_or_array(t, y)
 
 

@@ -47,11 +47,7 @@ def _signed_distance_nodes(pair: SharpPair) -> np.ndarray:
             "mask-only pairs carry no distance information"
         )
     domain = pair.field.domain
-    if domain.dim == 1:
-        return np.asarray(pair.region.signed_distance(domain.nodes_x), dtype=float)
-    return np.asarray(
-        pair.region.signed_distance(domain.nodes_x, domain.nodes_y), dtype=float
-    )
+    return np.asarray(pair.region.signed_distance(domain.nodes_x, domain.nodes_y), dtype=float)
 
 
 def build_recovery(

@@ -283,6 +283,31 @@ def test_config_violations_exit_one(tmp_path, capsys):
     assert "missing required key 'epsilon'" in err
 
 
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "o.json", {"a": 1.0, "b": 2.0})
+    out = tmp_path / "out"
+    code = main(["oracle1d", "--config", cfg, "--out", str(out), "--seed", "-1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert "seed must be a nonnegative integer, got -1" in err
+    assert not out.exists()
+
+
+def test_minimize_linear_start_keeps_exact_boundary_values(tmp_path):
+    payload = {
+        "initial": "linear",
+        "domain": {"kind": "interval", "lo": -1.0, "hi": 1.0, "n": 64},
+        "boundary": {"left": -1.0, "right": 3.291},
+        "epsilon": 1e-1,
+        "bound_m": 3.291,
+        "max_iters": 0,
+    }
+    assert run(tmp_path, "minimize", payload) == 0
+    values = fieldio.load_field(str(tmp_path / "minimized.f64")).values
+    assert values[0] == -1.0 and values[-1] == 3.291
+
+
 def test_kind_mismatch_exits_one(tmp_path):
     cfg = write_config(tmp_path / "m.json", {"kind": "sweep", "a": 1.0, "b": 1.0})
     assert main(["oracle1d", "--config", cfg, "--quiet"]) == 1

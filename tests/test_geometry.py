@@ -352,3 +352,98 @@ def test_region_cell_fraction_area():
     frac = region_cell_fraction(pp.Disc((0.0, 0.0), 0.5), dom)
     area = float(np.sum(frac)) * dom.h * dom.h
     assert area == pytest.approx(math.pi * 0.25, rel=2e-4)
+
+
+# Hand-computed marching-squares lengths on one cell with +/-1 corners: a
+# corner cut joins two adjacent edge midpoints (sqrt(2)/2), a straight cut
+# joins opposite midpoints (1), and a saddle makes two corner cuts.
+# Case bits: 1 = (0,0), 2 = (1,0), 4 = (1,1), 8 = (0,1) set when >= 0.
+_CORNER = math.sqrt(2.0) / 2.0
+_MS_EXPECTED = {
+    0: 0.0, 1: _CORNER, 2: _CORNER, 3: 1.0, 4: _CORNER, 5: 2 * _CORNER,
+    6: 1.0, 7: _CORNER, 8: _CORNER, 9: 1.0, 10: 2 * _CORNER, 11: _CORNER,
+    12: 1.0, 13: _CORNER, 14: _CORNER, 15: 0.0,
+}
+
+
+def _one_cell(v00, v10, v11, v01):
+    """Lengths of the cell anchored at node (0, 0) of a 3 x 3 grid, h = 1."""
+    from perimeter_phase.geometry import per_cell_interface_lengths
+
+    dom = pp.Domain.box(0.0, 2.0, 2)
+    vals = np.full(dom.node_shape, -1.0)
+    vals[0, 0], vals[1, 0], vals[1, 1], vals[0, 1] = v00, v10, v11, v01
+    return per_cell_interface_lengths(vals, dom)[0, 0]
+
+
+@pytest.mark.parametrize("case", range(16))
+def test_marching_squares_cases_with_unit_corners(case):
+    corners = [1.0 if case & bit else -1.0 for bit in (1, 2, 4, 8)]
+    assert _one_cell(*corners) == pytest.approx(_MS_EXPECTED[case], rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "corners, expected",
+    [
+        # case 5, average +1: the inside corners connect, so the cuts are
+        # 1/4 of each edge around the outside corners (1,0) and (0,1); the
+        # other resolution would cut 3/4 of each edge, 1.5 sqrt(2) in all.
+        ((3.0, -1.0, 3.0, -1.0), 0.5 * math.sqrt(2.0)),
+        # case 5, average -1: the inside corners are cut off instead.
+        ((1.0, -3.0, 1.0, -3.0), 0.5 * math.sqrt(2.0)),
+        # case 10, average +1: the inside corners (1,0) and (0,1) connect.
+        ((-1.0, 3.0, -1.0, 3.0), 0.5 * math.sqrt(2.0)),
+        # case 10, average -1.
+        ((-3.0, 1.0, -3.0, 1.0), 0.5 * math.sqrt(2.0)),
+        # Unequal inside corners: two 1/4-by-1/3 cuts, 5/12 each.  The other
+        # resolution would give (3/4 + 2/3) sqrt(2).
+        ((3.0, -1.0, 2.0, -1.0), 5.0 / 6.0),
+    ],
+)
+def test_marching_squares_saddles_follow_the_cell_average(corners, expected):
+    assert _one_cell(*corners) == pytest.approx(expected, rel=1e-14)
+
+
+def _reference_cell_length(v00, v10, v11, v01):
+    """One cell of marching squares written out per case, as a scalar loop."""
+
+    def crossing(a, b):
+        return min(max(a / (a - b), 0.0), 1.0) if a != b else 0.5
+
+    points = {
+        "B": (crossing(v00, v10), 0.0),
+        "R": (1.0, crossing(v10, v11)),
+        "T": (crossing(v01, v11), 1.0),
+        "L": (0.0, crossing(v00, v01)),
+    }
+    case = sum(bit for bit, v in zip((1, 2, 4, 8), (v00, v10, v11, v01)) if v >= 0.0)
+    segments = {
+        1: "LB", 2: "BR", 3: "LR", 4: "RT", 6: "BT", 7: "TL",
+        8: "TL", 9: "BT", 11: "RT", 12: "LR", 13: "BR", 14: "LB",
+    }
+    if case in (5, 10):
+        joined = 0.25 * (v00 + v10 + v11 + v01) >= 0.0
+        # A saddle cuts off the corners whose sign differs from the average.
+        pairs = ("BR", "TL") if joined == (case == 5) else ("LB", "RT")
+    else:
+        pairs = (segments[case],) if case in segments else ()
+    return sum(
+        math.hypot(points[a][0] - points[b][0], points[a][1] - points[b][1]) for a, b in pairs
+    )
+
+
+@pytest.mark.parametrize("kind", ["box", "ball"])
+def test_marching_squares_matches_scalar_reference(kind):
+    from perimeter_phase.geometry import per_cell_interface_lengths
+
+    dom = pp.Domain.box(-1.0, 1.0, 24) if kind == "box" else pp.Domain.ball(1.0, 24)
+    vals = np.random.default_rng(17).standard_normal(dom.node_shape)
+    vals[3, 4] = vals[4, 4] = 0.0  # exact zeros sit inside
+    got = per_cell_interface_lengths(vals, dom)
+    for i in range(dom.n):
+        for j in range(dom.n):
+            corners = (vals[i, j], vals[i + 1, j], vals[i + 1, j + 1], vals[i, j + 1])
+            expect = _reference_cell_length(*corners)
+            if kind == "ball" and dom.cell_weights[i, j] < 0.5 * dom.h * dom.h:
+                expect = 0.0
+            assert got[i, j] == pytest.approx(expect, rel=1e-13, abs=1e-15)

@@ -79,6 +79,18 @@ def test_descent_monotone_and_boundary_pinned():
     assert energies[-1] < energies[0]
 
 
+def test_recorded_energy_is_the_final_state_energy():
+    dom = pp.Domain.interval(-1.0, 1.0, 256)
+    state = pp.PhaseState(pp.ScalarField(dom, dom.nodes_x.copy()), 5e-2, 1.0)
+    result = pp.minimize_e_eps(state, pp.MinimizeConfig(bound_m=1.0, max_iters=300))
+    assert result.energies[-1] == pytest.approx(pp.e_eps(result.state).total, rel=1e-12)
+    box = pp.Domain.box(-1.0, 1.0, 32)
+    vals = np.clip(np.random.default_rng(5).normal(0.0, 0.3, box.node_shape), -0.9, 0.9)
+    state = pp.PhaseState(pp.ScalarField(box, vals), 5e-2, 1.0)
+    result = pp.minimize_e_eps(state, pp.MinimizeConfig(bound_m=1.0, max_iters=50))
+    assert result.energies[-1] == pytest.approx(pp.e_eps(result.state).total, rel=1e-12)
+
+
 def test_zero_and_linear_inits_agree():
     # the relaxed energies agree and the zero start locates the interface
     # at the midpoint by symmetry
@@ -156,6 +168,8 @@ def test_sharp_oracle_closed_forms():
 def test_sharp_oracle_matches_brute_force_scan():
     rng = np.random.default_rng(89)
     xs = np.linspace(-1.0, 1.0, 20001)
+    grid = np.linspace(-0.999, 0.999, 201)
+    x1g, x2g = np.meshgrid(grid, grid, indexing="ij")
     for _ in range(50):
         a = float(rng.uniform(0.2, 3.0))
         b = float(rng.uniform(0.2, 3.0))
@@ -169,6 +183,11 @@ def test_sharp_oracle_matches_brute_force_scan():
             a * a / (xs[1:-1] + 1.0) + b * b / (1.0 - xs[1:-1]) + pp.c0()
         )
         assert oracle.energy <= np.min(energies) + 1e-9
+        # nor does any flat zero interval [x1, x2] with x1 <= x2
+        flat = np.where(
+            x1g <= x2g, a * a / (1.0 + x1g) + b * b / (1.0 - x2g) + pp.c0(), np.inf
+        )
+        assert float(flat.min()) >= oracle.energy - 1e-9
 
 
 def test_sharp_oracle_rejects_bad_boundary():
@@ -203,6 +222,16 @@ def test_continuation_sweep_small():
         assert entry.iterations <= 4000
     # energies increase toward the sharp value as the scale shrinks
     assert entries[0].energy.total < entries[1].energy.total
+
+
+@pytest.mark.parametrize("right", [3.291, 3.437])
+def test_continuation_sweep_keeps_exact_boundary_values(right):
+    # -1 + (right + 1) rounds one ULP above these right values
+    dom = pp.Domain.interval(-1.0, 1.0, 64)
+    entries = pp.continuation_sweep(dom, (1e-1, 3e-2), -1.0, right, right, max_iters=5)
+    for entry in entries:
+        assert entry.state.values[0] == -1.0
+        assert entry.state.values[-1] == right
 
 
 def test_continuation_sweep_validation():
