@@ -12,10 +12,11 @@ log non-increasing.  Stationarity is measured by the sup norm of the
 projected gradient u - clip(u - g, -M, M).
 
 harmonic_replacement solves the discrete Laplace equation with the
-field's boundary values by conjugate gradients; because the stencil is
-the exact first variation of the discrete Dirichlet sum, the replacement
-is its unique minimizer among fields with those boundary values, and the
-discrete minimum principle keeps it positive when the boundary is.
+field's boundary values by a sparse LU factor of the Laplace matrix,
+built once per domain and cached; because the stencil is the exact first
+variation of the discrete Dirichlet sum, the replacement is its unique
+minimizer among fields with those boundary values, and the discrete
+minimum principle keeps it positive when the boundary is.
 
 sharp_oracle_1d returns the closed-form minimizer of the 1D sharp
 functional over single-interface candidates.
@@ -24,12 +25,13 @@ functional over single-interface candidates.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import cg
+from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse.linalg import splu
 
 from . import energy as energy_mod
 from . import potential
@@ -163,24 +165,14 @@ def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResul
 
 
 _LAPLACE_CACHE: dict = {}
+_LAPLACE_LOCK = threading.Lock()
 
 
 def _domain_cache_key(domain: Domain):
     return (domain.kind, domain.n, domain.lo, domain.hi, domain.center, domain.radius)
 
 
-def _laplace_system(domain: Domain):
-    """Cached interior Laplace matrix and boundary coupling for a domain.
-
-    Returns (matrix, interior mask, rows, boundary flat indices): the
-    right-hand side for boundary values g is accumulated by adding
-    g.ravel()[flat] into b[rows].
-    """
-    key = _domain_cache_key(domain)
-    cached = _LAPLACE_CACHE.get(key)
-    if cached is not None:
-        return cached
-
+def _build_laplace_system(domain: Domain):
     interior = ~domain.boundary_mask
     m = int(interior.sum())
     idx = -np.ones(domain.node_shape, dtype=np.int64)
@@ -205,36 +197,55 @@ def _laplace_system(domain: Domain):
         rows_b.append(np.arange(m)[~into_interior])
         flats_b.append(np.ravel_multi_index(nb[~into_interior].T, domain.node_shape))
 
-    a = coo_matrix(
+    a = csc_matrix(
         (np.concatenate(vals_a), (np.concatenate(rows_a), np.concatenate(cols_a))),
         shape=(m, m),
-    ).tocsr()
-    system = (a, interior, np.concatenate(rows_b), np.concatenate(flats_b))
-    _LAPLACE_CACHE[key] = system
+    )
+    rows_b = np.concatenate(rows_b)
+    coupling = csr_matrix(
+        (np.ones(rows_b.size), (rows_b, np.concatenate(flats_b))),
+        shape=(m, interior.size),
+    )
+    # A is symmetric positive definite, so no pivoting is needed and a
+    # symmetric ordering keeps the factor small.
+    factor = splu(
+        a,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+    return a, coupling, interior, factor
+
+
+def _laplace_system(domain: Domain):
+    """Cached interior Laplace system of a domain, built once per domain.
+
+    Returns (matrix A, boundary coupling B, interior mask, LU factor of
+    A): the interior values of the harmonic extension of node values g
+    solve A x = B @ g.ravel().  The cache fill holds a lock, so
+    concurrent first calls build the system once.
+    """
+    key = _domain_cache_key(domain)
+    with _LAPLACE_LOCK:
+        system = _LAPLACE_CACHE.get(key)
+        if system is None:
+            system = _LAPLACE_CACHE[key] = _build_laplace_system(domain)
     return system
 
 
 def harmonic_replacement(field: ScalarField) -> ScalarField:
     """Discrete Dirichlet minimizer with the field's boundary values.
 
-    Solves the 3- or 5-point Laplace system on interior nodes by
-    conjugate gradients and checks the residual; the result is the unique
-    minimizer of the discrete Dirichlet sum over fields agreeing with the
-    input on the boundary mask.
+    Solves the 3- or 5-point Laplace system on interior nodes with the
+    domain's cached sparse LU factor and checks the residual; the result
+    is the unique minimizer of the discrete Dirichlet sum over fields
+    agreeing with the input on the boundary mask.
     """
     domain = field.domain
-    a, interior, rows_b, flats_b = _laplace_system(domain)
-    m = a.shape[0]
-    if m == 0:
-        return field.copy()
-
+    a, coupling, interior, factor = _laplace_system(domain)
     values = field.values
-    b = np.zeros(m)
-    np.add.at(b, rows_b, values.ravel()[flats_b])
-
-    solution, info = cg(a, b, x0=values[interior], rtol=1e-12, atol=1e-10, maxiter=20 * m)
-    if info != 0:
-        raise NumericError(f"conjugate gradients did not converge (info = {info})")
+    b = coupling @ values.ravel()
+    solution = factor.solve(b)
     residual = float(np.linalg.norm(a @ solution - b))
     if residual > 1e-8 * max(1.0, float(np.linalg.norm(b))):
         raise NumericError(f"Laplace solve residual too large: {residual:.3e}")

@@ -1,10 +1,20 @@
 """Projected descent, harmonic replacement, and the 1D sharp oracle."""
 
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 import perimeter_phase as pp
-from perimeter_phase.errors import DomainError
+from perimeter_phase import minimize
+from perimeter_phase.cli import random_positive_field
+from perimeter_phase.errors import DomainError, NumericError
 
 
 def test_energy_gradient_matches_difference_quotient():
@@ -142,13 +152,103 @@ def test_harmonic_replacement_is_dirichlet_minimizer():
 
 
 def test_harmonic_replacement_positive_data_positive_output():
-    from perimeter_phase.cli import random_positive_field
-
     dom = pp.Domain.box(-1.0, 1.0, 32)
     field = random_positive_field(dom, np.random.Generator(np.random.Philox(7)), 0.1)
     assert np.all(field.values > 0.0)
     replaced = pp.harmonic_replacement(field)
     assert np.all(replaced.values > 0.0)
+
+
+def _independent_harmonic_interior(domain, values):
+    """Interior values of the harmonic extension, by spsolve on the
+    interior block of a full-grid 3- or 5-point matrix built from kron."""
+    n1 = domain.node_shape[0]
+    t = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n1, n1))
+    if domain.dim == 1:
+        lap = t.tocsr()
+    else:
+        eye = sp.identity(n1)
+        lap = (sp.kron(t, eye) + sp.kron(eye, t)).tocsr()
+    inner = np.flatnonzero(~domain.boundary_mask.ravel())
+    outer = np.flatnonzero(domain.boundary_mask.ravel())
+    a = lap[inner][:, inner].tocsc()
+    rhs = -(lap[inner][:, outer] @ values.ravel()[outer])
+    return spsolve(a, rhs)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [pp.Domain.box(-1.0, 1.0, 64), pp.Domain.ball(1.0, 64), pp.Domain.interval(-1.0, 1.0, 256)],
+    ids=["box64", "ball64", "interval256"],
+)
+def test_harmonic_replacement_matches_independent_direct_solve(domain):
+    rng = np.random.default_rng(83)
+    vals = rng.normal(0.0, 1.0, domain.node_shape)
+    field = pp.ScalarField(domain, vals)
+    replaced = pp.harmonic_replacement(field)
+    interior = ~domain.boundary_mask
+    expected = _independent_harmonic_interior(domain, vals)
+    assert np.array_equal(replaced.values[~interior], vals[~interior])
+    np.testing.assert_allclose(replaced.values[interior], expected, rtol=0.0, atol=1e-10)
+    reference = vals.copy()
+    reference[interior] = expected
+    assert pp.dirichlet_energy(replaced) == pytest.approx(
+        pp.dirichlet_energy(pp.ScalarField(domain, reference)), rel=1e-12
+    )
+
+
+def test_laplace_system_built_once_under_concurrent_first_calls(monkeypatch):
+    dom = pp.Domain.box(-1.0, 1.0, 24)
+    fields = [
+        random_positive_field(dom, np.random.Generator(np.random.Philox(seed)), 0.1)
+        for seed in range(4)
+    ]
+    builds = []
+    real_build = minimize._build_laplace_system
+
+    def slow_build(domain):
+        builds.append(domain)
+        time.sleep(0.05)
+        return real_build(domain)
+
+    monkeypatch.setattr(minimize, "_build_laplace_system", slow_build)
+    monkeypatch.setattr(minimize, "_LAPLACE_CACHE", {})
+    start = threading.Barrier(len(fields))
+
+    def replace(field):
+        start.wait(timeout=10)
+        return pp.harmonic_replacement(field)
+
+    # More threads than cores, switching often, all missing the cache at once.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(fields)) as pool:
+            futures = [pool.submit(replace, f) for f in fields]
+            concurrent = [f.result(timeout=30) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 1
+
+    monkeypatch.setattr(minimize, "_LAPLACE_CACHE", {})
+    sequential = [pp.harmonic_replacement(f) for f in fields]
+    assert len(builds) == 2
+    for c, s in zip(concurrent, sequential):
+        assert np.array_equal(c.values, s.values)
+
+
+def test_harmonic_replacement_residual_guard_fires(monkeypatch):
+    dom = pp.Domain.box(-1.0, 1.0, 16)
+    a, coupling, interior, _ = minimize._laplace_system(dom)
+    zero_factor = SimpleNamespace(solve=lambda b: np.zeros_like(b))
+    monkeypatch.setitem(
+        minimize._LAPLACE_CACHE,
+        minimize._domain_cache_key(dom),
+        (a, coupling, interior, zero_factor),
+    )
+    field = pp.ScalarField(dom, np.ones(dom.node_shape))
+    with pytest.raises(NumericError, match="residual"):
+        pp.harmonic_replacement(field)
 
 
 def test_sharp_oracle_closed_forms():
