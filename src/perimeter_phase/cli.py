@@ -7,6 +7,12 @@ floats are printed with %.17g (lossless for float64), JSON keys are
 sorted, and the only randomness flows through a counter-based generator
 seeded from the config.
 
+Config keys and their defaults live in one place: the key table of each
+subcommand in _TABLES (kind, seed and out, shared by all subcommands,
+are checked in parse_config itself).  parse_config checks a config
+against its table and writes the default of every absent optional key
+into it, so the runners read cfg[key] and state no default of their own.
+
 Exit codes: 0 on success; 1 for bad input (config violations, domain or
 region errors, unreadable files); 2 when a construction's verified
 contract fails (budget exceeded, infeasible annulus, numerical guard).
@@ -25,7 +31,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,7 +40,7 @@ from . import energy as energy_mod
 from . import interpolation, minimize, profiles1d, recovery
 from .energy import PhaseState, ScalarField, SharpPair
 from .errors import ConfigError, PerimeterPhaseError
-from .geometry import Domain, Region, region_from_dict
+from .geometry import Domain, region_from_dict
 
 _FLOAT = "%.17g"
 _CONTRACT_CODES = {"budget-exceeded", "infeasible-glue", "numeric"}
@@ -83,377 +89,289 @@ def _breakdown_dict(b) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Config validation.  Every validator appends human-readable problems to a
-# shared list; nothing raises until the whole config has been inspected.
+# Config validation.  Each subcommand has one key table that maps every
+# allowed key to a rule: the check its value must pass and its default, or
+# _REQUIRED.  Checks append human-readable problems to a shared list;
+# nothing raises until the whole config has been inspected.
+
+_REQUIRED = object()
+_STARTS = ("linear", "zero")
+
+
+class _Rule(NamedTuple):
+    # check(key, value, violations) may return a normalized value to store;
+    # None as check leaves the value unchecked.
+    check: Optional[Callable]
+    default: object = _REQUIRED
 
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _check_unknown_keys(cfg: dict, allowed: set, violations: List[str]) -> None:
-    for key in sorted(set(cfg) - allowed):
-        violations.append(f"unknown key {key!r}")
+def _number(positive=False) -> Callable:
+    def check(key, val, violations):
+        if not _is_number(val):
+            violations.append(f"{key} must be a finite number, got {val!r}")
+        elif positive and not val > 0:
+            violations.append(f"{key} must be positive, got {val}")
+
+    return check
 
 
-def _get_number(
-    cfg: dict,
-    key: str,
-    violations: List[str],
-    default=None,
-    required=False,
-    positive=False,
-):
-    if key not in cfg:
-        if required:
-            violations.append(f"missing required key {key!r}")
-        return default
-    val = cfg[key]
-    if not _is_number(val):
-        violations.append(f"{key} must be a finite number, got {val!r}")
-        return default
-    if positive and not (val > 0):
-        violations.append(f"{key} must be positive, got {val}")
-        return default
-    return float(val)
+def _integer(low: int) -> Callable:
+    def check(key, val, violations):
+        if not isinstance(val, int) or isinstance(val, bool):
+            violations.append(f"{key} must be an integer, got {val!r}")
+        elif val < low:
+            violations.append(f"{key} must be >= {low}, got {val}")
+
+    return check
 
 
-def _get_int(
-    cfg: dict, key: str, violations: List[str], default=None, required=False, low=None
-):
-    if key not in cfg:
-        if required:
-            violations.append(f"missing required key {key!r}")
-        return default
-    val = cfg[key]
-    if not isinstance(val, int) or isinstance(val, bool):
-        violations.append(f"{key} must be an integer, got {val!r}")
-        return default
-    if low is not None and val < low:
-        violations.append(f"{key} must be >= {low}, got {val}")
-        return default
-    return val
+def _choice(*choices: str) -> Callable:
+    def check(key, val, violations):
+        if not isinstance(val, str):
+            violations.append(f"{key} must be a string, got {val!r}")
+        elif val not in choices:
+            violations.append(f"{key} must be one of {sorted(choices)}, got {val!r}")
+
+    return check
 
 
-def _get_string(
-    cfg: dict,
-    key: str,
-    violations: List[str],
-    default=None,
-    required=False,
-    choices=None,
-):
-    if key not in cfg:
-        if required:
-            violations.append(f"missing required key {key!r}")
-        return default
-    val = cfg[key]
+def _input_file(key, val, violations):
     if not isinstance(val, str):
         violations.append(f"{key} must be a string, got {val!r}")
-        return default
-    if choices is not None and val not in choices:
-        violations.append(f"{key} must be one of {sorted(choices)}, got {val!r}")
-        return default
-    return val
+    elif not os.path.isfile(val):
+        violations.append(f"{key} does not exist: {val}")
 
 
-def _check_grid_n(n, where: str, violations: List[str]) -> None:
+def _start(key, val, violations):
+    if not isinstance(val, str):
+        violations.append(f"{key} must be a string, got {val!r}")
+    elif val not in _STARTS and not os.path.isfile(val):
+        violations.append(f"{key} field does not exist: {val}")
+
+
+def _boolean(key, val, violations):
+    if not isinstance(val, bool):
+        violations.append(f"{key} must be a boolean")
+
+
+def _kappa(key, val, violations):
+    if not _is_number(val):
+        violations.append(f"{key} must be a finite number, got {val!r}")
+    elif not 0.0 < val < 1.0:
+        violations.append(f"{key} must lie in (0, 1), got {float(val)}")
+
+
+def _grid_n(key, n, violations):
     if n is None:
         return
     if not isinstance(n, int) or isinstance(n, bool):
-        violations.append(f"{where} must be an integer, got {n!r}")
-        return
-    if n < _N_MIN or n > _N_MAX or (n & (n - 1)) != 0:
+        violations.append(f"{key} must be an integer, got {n!r}")
+    elif n < _N_MIN or n > _N_MAX or (n & (n - 1)) != 0:
         violations.append(
-            f"{where} must be a power of two between {_N_MIN} and {_N_MAX}, got {n}"
+            f"{key} must be a power of two between {_N_MIN} and {_N_MAX}, got {n}"
         )
 
 
-def _check_domain(cfg: dict, violations: List[str], required=True) -> Optional[dict]:
-    if "domain" not in cfg:
-        if required:
-            violations.append("missing required key 'domain'")
-        return None
-    dom = cfg["domain"]
-    if not isinstance(dom, dict):
-        violations.append(f"domain must be an object, got {dom!r}")
-        return None
-    kind = dom.get("kind")
-    if kind not in ("interval", "box", "ball"):
-        violations.append(f"domain.kind must be interval, box, or ball, got {kind!r}")
-        return None
-    _check_grid_n(dom.get("n"), "domain.n", violations)
-    if "n" not in dom:
-        violations.append("missing required key 'domain.n'")
-    if kind == "ball":
-        if not _is_number(dom.get("radius")) or not dom.get("radius", 0) > 0:
-            violations.append("domain.radius must be a positive number")
-    else:
-        lo, hi = dom.get("lo"), dom.get("hi")
-        if not (_is_number(lo) and _is_number(hi) and lo < hi):
-            violations.append("domain needs numbers lo < hi")
-    return dom
+def _is_point(x) -> bool:
+    return isinstance(x, (list, tuple)) and len(x) == 2 and all(_is_number(c) for c in x)
 
 
-def _check_region(cfg: dict, violations: List[str], required=True, key="region"):
-    if key not in cfg:
-        if required:
-            violations.append(f"missing required key {key!r}")
-        return None
+def _domain(not_interval: Optional[str] = None) -> Callable:
+    """Domain check; not_interval, if given, is the violation for 2D kinds."""
+
+    def check(key, dom, violations):
+        if not isinstance(dom, dict):
+            violations.append(f"domain must be an object, got {dom!r}")
+            return
+        kind = dom.get("kind")
+        if kind not in ("interval", "box", "ball"):
+            violations.append(f"domain.kind must be interval, box, or ball, got {kind!r}")
+            return
+        _grid_n("domain.n", dom.get("n"), violations)
+        if "n" not in dom:
+            violations.append("missing required key 'domain.n'")
+        if kind == "ball":
+            if not _is_number(dom.get("radius")) or not dom["radius"] > 0:
+                violations.append("domain.radius must be a positive number")
+            if "center" in dom and not _is_point(dom["center"]):
+                violations.append(
+                    f"domain.center must be two finite numbers, got {dom['center']!r}"
+                )
+        else:
+            lo, hi = dom.get("lo"), dom.get("hi")
+            if not (_is_number(lo) and _is_number(hi) and lo < hi):
+                violations.append("domain needs numbers lo < hi")
+        if not_interval is not None and kind != "interval":
+            violations.append(not_interval)
+
+    return check
+
+
+def _region(key, val, violations):
     try:
-        return region_from_dict(cfg[key])
+        return region_from_dict(val)
     except (PerimeterPhaseError, KeyError, TypeError, ValueError) as exc:
         violations.append(f"{key} is not a valid region: {exc}")
-        return None
 
 
-def _check_epsilons(cfg: dict, violations: List[str]) -> Optional[List[float]]:
-    if "epsilons" not in cfg:
-        violations.append("missing required key 'epsilons'")
-        return None
-    eps = cfg["epsilons"]
+def _epsilons(key, eps, violations):
     if not isinstance(eps, list) or not eps or not all(_is_number(e) for e in eps):
-        violations.append("epsilons must be a nonempty list of numbers")
-        return None
-    if any(e <= 0 for e in eps):
-        violations.append("epsilons must all be positive")
-        return None
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        violations.append("epsilons must be strictly decreasing")
-        return None
-    return [float(e) for e in eps]
-
-
-def _check_input_file(cfg: dict, key: str, violations: List[str], required=True):
-    path = _get_string(cfg, key, violations, required=required)
-    if path is not None and not os.path.isfile(path):
-        violations.append(f"{key} does not exist: {path}")
-        return None
-    return path
-
-
-def _check_kappa(cfg: dict, violations: List[str]) -> float:
-    kappa = _get_number(cfg, "kappa", violations, default=0.1)
-    if kappa is not None and not (0.0 < kappa < 1.0):
-        violations.append(f"kappa must lie in (0, 1), got {kappa}")
-        return 0.1
-    return kappa
-
-
-_COMMON_KEYS = {"kind", "seed", "out"}
-
-
-def _validate_profile(cfg: dict, violations: List[str]) -> None:
-    _check_unknown_keys(
-        cfg,
-        _COMMON_KEYS
-        | {"epsilon", "profile_kind", "theta", "convention", "kappa", "s_max", "count"},
-        violations,
-    )
-    _get_number(cfg, "epsilon", violations, required=True, positive=True)
-    kind = _get_string(
-        cfg,
-        "profile_kind",
-        violations,
-        default="standard",
-        choices={"standard", "linear_tail"},
-    )
-    if kind == "linear_tail":
-        _get_number(cfg, "theta", violations, required=True, positive=True)
-    _get_string(
-        cfg,
-        "convention",
-        violations,
-        default=profiles1d.TAIL_SLOPE_THETA,
-        choices={profiles1d.TAIL_SLOPE_THETA, profiles1d.TAIL_SLOPE_SQRT_THETA},
-    )
-    _check_kappa(cfg, violations)
-    _get_number(cfg, "s_max", violations, required=True, positive=True)
-    _get_int(cfg, "count", violations, default=1001, low=2)
-
-
-def _validate_energy(cfg: dict, violations: List[str]) -> None:
-    _check_unknown_keys(cfg, _COMMON_KEYS | {"field", "epsilon", "region"}, violations)
-    _check_input_file(cfg, "field", violations)
-    _get_number(cfg, "epsilon", violations, required=True, positive=True)
-    _check_region(cfg, violations, required=False)
-
-
-def _validate_recovery(cfg: dict, violations: List[str]) -> None:
-    _check_unknown_keys(
-        cfg,
-        _COMMON_KEYS
-        | {"domain", "region", "epsilons", "kappa", "bound_m", "field", "builtin", "value", "dump_fields"},
-        violations,
-    )
-    has_field = "field" in cfg
-    if has_field:
-        _check_input_file(cfg, "field", violations)
+        violations.append(f"{key} must be a nonempty list of numbers")
+    elif any(e <= 0 for e in eps):
+        violations.append(f"{key} must all be positive")
+    elif any(b >= a for a, b in zip(eps, eps[1:])):
+        violations.append(f"{key} must be strictly decreasing")
     else:
-        _get_string(
-            cfg,
-            "builtin",
-            violations,
-            default="zero",
-            choices={"zero", "linear_x", "constant"},
-        )
-        if cfg.get("builtin") == "constant":
-            _get_number(cfg, "value", violations, required=True)
-        _check_domain(cfg, violations, required=True)
-    _check_region(cfg, violations, required=True)
-    _check_epsilons(cfg, violations)
-    _check_kappa(cfg, violations)
-    _get_number(cfg, "bound_m", violations, default=1.0, positive=True)
-    if "dump_fields" in cfg and not isinstance(cfg["dump_fields"], bool):
-        violations.append("dump_fields must be a boolean")
+        return [float(e) for e in eps]
 
 
-def _validate_glue(cfg: dict, violations: List[str]) -> None:
-    _check_unknown_keys(
-        cfg,
-        _COMMON_KEYS
-        | {"u_field", "v_field", "epsilon", "bound_m", "rho", "delta", "gamma", "convention"},
-        violations,
-    )
-    _check_input_file(cfg, "u_field", violations)
-    _check_input_file(cfg, "v_field", violations)
-    _get_number(cfg, "epsilon", violations, required=True, positive=True)
-    _get_number(cfg, "bound_m", violations, default=1.0, positive=True)
-    _get_number(cfg, "rho", violations, required=True, positive=True)
-    _get_number(cfg, "delta", violations, required=True, positive=True)
-    _get_number(cfg, "gamma", violations, required=True, positive=True)
-    _get_string(
-        cfg,
-        "convention",
-        violations,
-        default=profiles1d.TAIL_SLOPE_THETA,
-        choices={profiles1d.TAIL_SLOPE_THETA, profiles1d.TAIL_SLOPE_SQRT_THETA},
-    )
-
-
-def _validate_barrier(cfg: dict, violations: List[str]) -> None:
-    _check_unknown_keys(
-        cfg,
-        _COMMON_KEYS | {"domain", "interface_radius", "bound_m", "epsilon", "kappa"},
-        violations,
-    )
-    _check_domain(cfg, violations, required=True)
-    _get_number(cfg, "interface_radius", violations, required=True, positive=True)
-    _get_number(cfg, "bound_m", violations, default=1.0, positive=True)
-    _get_number(cfg, "epsilon", violations, required=True, positive=True)
-    _check_kappa(cfg, violations)
-
-
-def _check_boundary(cfg: dict, violations: List[str]) -> None:
-    if "boundary" not in cfg:
-        violations.append("missing required key 'boundary'")
-        return
-    bnd = cfg["boundary"]
-    if (
-        not isinstance(bnd, dict)
-        or not _is_number(bnd.get("left"))
-        or not _is_number(bnd.get("right"))
-    ):
-        violations.append("boundary must be an object with numbers left and right")
-        return
-    if not (bnd["left"] < 0.0 < bnd["right"]):
-        violations.append(
-            f"boundary values must straddle zero, got left={bnd['left']}, "
-            f"right={bnd['right']}"
-        )
-
-
-def _validate_minimize(cfg: dict, violations: List[str]) -> None:
-    _check_unknown_keys(
-        cfg,
-        _COMMON_KEYS
-        | {"domain", "epsilon", "bound_m", "initial", "boundary", "tol_grad", "max_iters", "step"},
-        violations,
-    )
-    initial = cfg.get("initial", "linear")
-    if not isinstance(initial, str):
-        violations.append(f"initial must be a string, got {initial!r}")
-        initial = "linear"
-    if initial in ("linear", "zero"):
-        dom = _check_domain(cfg, violations, required=True)
-        if dom is not None and dom.get("kind") != "interval":
-            violations.append("builtin initial fields need an interval domain")
-        _check_boundary(cfg, violations)
+def _boundary(key, bnd, violations):
+    ends = (bnd.get("left"), bnd.get("right")) if isinstance(bnd, dict) else ()
+    if not _is_point(ends):
+        violations.append(f"{key} must be an object with numbers left and right")
+    elif not ends[0] < 0.0 < ends[1]:
+        violations.append(f"{key} values must straddle zero, got left={ends[0]}, right={ends[1]}")
     else:
-        if not os.path.isfile(initial):
-            violations.append(f"initial field does not exist: {initial}")
-    _get_number(cfg, "epsilon", violations, required=True, positive=True)
-    _get_number(cfg, "bound_m", violations, default=1.0, positive=True)
-    _get_number(cfg, "tol_grad", violations, default=1e-5, positive=True)
-    _get_int(cfg, "max_iters", violations, default=200000, low=0)
-    if "step" in cfg:
-        _get_number(cfg, "step", violations, positive=True)
+        return dict(bnd, left=float(ends[0]), right=float(ends[1]))
 
 
-def _validate_sweep(cfg: dict, violations: List[str]) -> None:
-    _check_unknown_keys(
-        cfg,
-        _COMMON_KEYS
-        | {"domain", "epsilons", "bound_m", "boundary", "tol_grad", "max_iters"},
-        violations,
-    )
-    dom = _check_domain(cfg, violations, required=True)
-    if dom is not None and dom.get("kind") != "interval":
-        violations.append("sweeps need an interval domain")
-    _check_epsilons(cfg, violations)
-    _get_number(cfg, "bound_m", violations, required=True, positive=True)
-    _check_boundary(cfg, violations)
-    _get_number(cfg, "tol_grad", violations, default=1e-5, positive=True)
-    _get_int(cfg, "max_iters", violations, default=200000, low=0)
+_POSITIVE = _Rule(_number(positive=True))
+_BOUND_M = _Rule(_number(positive=True), 1.0)
+_KAPPA = _Rule(_kappa, 0.1)
+_CONVENTION = _Rule(
+    _choice(profiles1d.TAIL_SLOPE_THETA, profiles1d.TAIL_SLOPE_SQRT_THETA),
+    profiles1d.TAIL_SLOPE_THETA,
+)
+_TOL_GRAD = _Rule(_number(positive=True), 1e-5)
+_MAX_ITERS = _Rule(_integer(0), 200000)
 
-
-def _validate_oracle1d(cfg: dict, violations: List[str]) -> None:
-    _check_unknown_keys(cfg, _COMMON_KEYS | {"a", "b"}, violations)
-    _get_number(cfg, "a", violations, required=True, positive=True)
-    _get_number(cfg, "b", violations, required=True, positive=True)
-
-
-def _validate_harmonic_check(cfg: dict, violations: List[str]) -> None:
-    _check_unknown_keys(
-        cfg, _COMMON_KEYS | {"count", "n", "boundary_floor"}, violations
-    )
-    _get_int(cfg, "count", violations, default=100, low=1)
-    n = cfg.get("n", 64)
-    _check_grid_n(n, "n", violations)
-    _get_number(cfg, "boundary_floor", violations, default=0.1, positive=True)
-
-
-_VALIDATORS: Dict[str, Callable] = {
-    "profile": _validate_profile,
-    "energy": _validate_energy,
-    "recovery": _validate_recovery,
-    "glue": _validate_glue,
-    "barrier": _validate_barrier,
-    "minimize": _validate_minimize,
-    "sweep": _validate_sweep,
-    "oracle1d": _validate_oracle1d,
-    "harmonic-check": _validate_harmonic_check,
+# Keys are checked in table order.
+_TABLES: Dict[str, Dict[str, _Rule]] = {
+    "profile": {
+        "epsilon": _POSITIVE,
+        "profile_kind": _Rule(_choice("standard", "linear_tail"), "standard"),
+        "theta": _Rule(None, 0.0),
+        "convention": _CONVENTION,
+        "kappa": _KAPPA,
+        "s_max": _POSITIVE,
+        "count": _Rule(_integer(2), 1001),
+    },
+    "energy": {
+        "field": _Rule(_input_file),
+        "epsilon": _POSITIVE,
+        "region": _Rule(_region, None),
+    },
+    "recovery": {
+        "field": _Rule(_input_file),
+        "builtin": _Rule(_choice("zero", "linear_x", "constant"), "zero"),
+        "value": _Rule(_number()),
+        "domain": _Rule(_domain()),
+        "region": _Rule(_region),
+        "epsilons": _Rule(_epsilons),
+        "kappa": _KAPPA,
+        "bound_m": _BOUND_M,
+        "dump_fields": _Rule(_boolean, False),
+    },
+    "glue": {
+        "u_field": _Rule(_input_file),
+        "v_field": _Rule(_input_file),
+        "epsilon": _POSITIVE,
+        "bound_m": _BOUND_M,
+        "rho": _POSITIVE,
+        "delta": _POSITIVE,
+        "gamma": _POSITIVE,
+        "convention": _CONVENTION,
+    },
+    "barrier": {
+        "domain": _Rule(_domain()),
+        "interface_radius": _POSITIVE,
+        "bound_m": _BOUND_M,
+        "epsilon": _POSITIVE,
+        "kappa": _KAPPA,
+    },
+    "minimize": {
+        "initial": _Rule(_start, "linear"),
+        "domain": _Rule(_domain("builtin initial fields need an interval domain")),
+        "boundary": _Rule(_boundary),
+        "epsilon": _POSITIVE,
+        "bound_m": _BOUND_M,
+        "tol_grad": _TOL_GRAD,
+        "max_iters": _MAX_ITERS,
+    },
+    "sweep": {
+        "domain": _Rule(_domain("sweeps need an interval domain")),
+        "epsilons": _Rule(_epsilons),
+        "bound_m": _POSITIVE,
+        "boundary": _Rule(_boundary),
+        "tol_grad": _TOL_GRAD,
+        "max_iters": _MAX_ITERS,
+    },
+    "oracle1d": {"a": _POSITIVE, "b": _POSITIVE},
+    "harmonic-check": {
+        "count": _Rule(_integer(1), 100),
+        "n": _Rule(_grid_n, 64),
+        "boundary_floor": _Rule(_number(positive=True), 0.1),
+    },
 }
 
 
+def _cross_key_rules(kind: str, cfg: dict) -> dict:
+    """Table entries replaced by what other keys say; None skips a key."""
+    if kind == "profile" and cfg.get("profile_kind") == "linear_tail":
+        return {"theta": _POSITIVE}  # only linear-tail profiles read theta
+    if kind == "recovery":
+        # An input field replaces the builtin start, its value and domain.
+        if "field" in cfg:
+            return dict.fromkeys(("builtin", "value", "domain"))
+        if cfg.get("builtin") != "constant":
+            return dict.fromkeys(("field", "value"))
+        return {"field": None}
+    if kind == "minimize":
+        start = cfg.get("initial")
+        if isinstance(start, str) and start not in _STARTS:
+            # A start read from a file carries its domain and boundary values.
+            return dict.fromkeys(("domain", "boundary"))
+    return {}
+
+
 def parse_config(kind: str, cfg: dict) -> dict:
-    """Validate a config against its experiment kind.
+    """Validate a config against the key table of its subcommand.
 
     Collects every violation before raising ConfigError, so one run
-    reports all problems.
+    reports all problems.  Fills in the default of every absent optional
+    key, turns epsilons and boundary values into floats and parses
+    regions, so runners read cfg[key] as it stands.
     """
-    violations: List[str] = []
     if not isinstance(cfg, dict):
         raise ConfigError(["config root must be a JSON object"])
+    violations: List[str] = []
     stated = cfg.get("kind")
     if stated is not None and stated != kind:
         violations.append(f"config kind {stated!r} does not match subcommand {kind!r}")
-    seed = cfg.get("seed", 0)
+    seed = cfg.setdefault("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         violations.append(f"seed must be a nonnegative integer, got {seed!r}")
-    if "out" in cfg and not isinstance(cfg["out"], str):
+    if not isinstance(cfg.setdefault("out", "."), str):
         violations.append(f"out must be a string path, got {cfg['out']!r}")
-    _VALIDATORS[kind](cfg, violations)
+    table = _TABLES[kind]
+    for key in sorted(set(cfg) - set(table) - {"kind", "seed", "out"}):
+        violations.append(f"unknown key {key!r}")
+    for key, rule in {**table, **_cross_key_rules(kind, cfg)}.items():
+        if rule is None:
+            continue
+        if key not in cfg:
+            if rule.default is _REQUIRED:
+                violations.append(f"missing required key {key!r}")
+            else:
+                cfg[key] = rule.default
+        elif rule.check is not None:
+            value = rule.check(key, cfg[key], violations)
+            if value is not None:
+                cfg[key] = value
     if violations:
         raise ConfigError(violations)
     return cfg
@@ -466,12 +384,12 @@ def parse_config(kind: str, cfg: dict) -> dict:
 def _run_profile(cfg: dict, out_dir: str, rng) -> List[str]:
     prof = profiles1d.Profile(
         epsilon=cfg["epsilon"],
-        kind=cfg.get("profile_kind", "standard"),
-        theta=cfg.get("theta", 0.0),
-        convention=cfg.get("convention", profiles1d.TAIL_SLOPE_THETA),
-        kappa=cfg.get("kappa", 0.1),
+        kind=cfg["profile_kind"],
+        theta=cfg["theta"],
+        convention=cfg["convention"],
+        kappa=cfg["kappa"],
     )
-    s = np.linspace(-cfg["s_max"], cfg["s_max"], cfg.get("count", 1001))
+    s = np.linspace(-cfg["s_max"], cfg["s_max"], cfg["count"])
     value = np.asarray(prof.value(s), dtype=float)
     deriv = np.asarray(prof.derivative(s), dtype=float)
     well = np.asarray(prof.well_density(s), dtype=float)
@@ -488,8 +406,7 @@ def _run_energy(cfg: dict, out_dir: str, rng) -> List[str]:
     field = fieldio.load_field(cfg["field"])
     sup = float(np.max(np.abs(field.values)))
     state = PhaseState(field, cfg["epsilon"], bound_m=max(sup, 1.0))
-    region = region_from_dict(cfg["region"]) if "region" in cfg else None
-    breakdown = energy_mod.e_eps(state, subdomain=region)
+    breakdown = energy_mod.e_eps(state, subdomain=cfg["region"])
     payload = _breakdown_dict(breakdown)
     payload["tv_phase"] = energy_mod.tv_phase(state)
     payload["phase_band_measure"] = energy_mod.phase_band_measure(state)
@@ -500,33 +417,26 @@ def _run_energy(cfg: dict, out_dir: str, rng) -> List[str]:
 
 def _recovery_input(cfg: dict):
     if "field" in cfg:
-        field = fieldio.load_field(cfg["field"])
-        return field
+        return fieldio.load_field(cfg["field"])
     domain = Domain.from_dict(cfg["domain"])
-    builtin = cfg.get("builtin", "zero")
-    if builtin == "zero":
+    if cfg["builtin"] == "zero":
         vals = np.zeros(domain.node_shape)
-    elif builtin == "constant":
-        vals = np.full(domain.node_shape, float(cfg["value"]))
+    elif cfg["builtin"] == "constant":
+        vals = np.full(domain.node_shape, cfg["value"], dtype=float)
     else:
         vals = domain.nodes_x.copy()
     return ScalarField(domain, vals)
 
 
 def _run_recovery(cfg: dict, out_dir: str, rng) -> List[str]:
-    field = _recovery_input(cfg)
-    region = region_from_dict(cfg["region"])
-    bound_m = cfg.get("bound_m", 1.0)
-    kappa = cfg.get("kappa", 0.1)
-    pair = SharpPair(field=field, region=region, bound_m=bound_m)
+    pair = SharpPair(field=_recovery_input(cfg), region=cfg["region"], bound_m=cfg["bound_m"])
     sharp_total = energy_mod.sharp_energy(pair).total
-    epsilons = [float(e) for e in cfg["epsilons"]]
 
     def build(e: float):
-        return recovery.build_recovery(pair, e, kappa)
+        return recovery.build_recovery(pair, e, cfg["kappa"])
 
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        results = list(pool.map(build, epsilons))
+        results = list(pool.map(build, cfg["epsilons"]))
 
     rows = []
     written = []
@@ -542,7 +452,7 @@ def _run_recovery(cfg: dict, out_dir: str, rng) -> List[str]:
                 _fmt(report.h_tilde_l1_gap),
             ]
         )
-        if cfg.get("dump_fields", False):
+        if cfg["dump_fields"]:
             dump = os.path.join(out_dir, f"recovery_{i:03d}.f64")
             fieldio.save_binary(state.field, dump)
             written.append(dump)
@@ -559,7 +469,7 @@ def _run_glue(cfg: dict, out_dir: str, rng) -> List[str]:
     u_field = fieldio.load_field(cfg["u_field"])
     v_field = fieldio.load_field(cfg["v_field"])
     epsilon = cfg["epsilon"]
-    bound_m = cfg.get("bound_m", 1.0)
+    bound_m = cfg["bound_m"]
     outer = PhaseState(u_field, epsilon, bound_m)
     inner = PhaseState(v_field, epsilon, bound_m)
     spec = interpolation.AnnulusSpec(cfg["rho"], cfg["delta"], bound_m)
@@ -568,7 +478,7 @@ def _run_glue(cfg: dict, out_dir: str, rng) -> List[str]:
         outer_state=outer,
         spec=spec,
         budget=cfg["gamma"],
-        convention=cfg.get("convention", profiles1d.TAIL_SLOPE_THETA),
+        convention=cfg["convention"],
     )
     dump = os.path.join(out_dir, "glued.f64")
     fieldio.save_binary(out_state.field, dump)
@@ -601,9 +511,9 @@ def _run_barrier(cfg: dict, out_dir: str, rng) -> List[str]:
     result = interpolation.build_barrier(
         domain,
         interface_radius=cfg["interface_radius"],
-        bound_m=cfg.get("bound_m", 1.0),
+        bound_m=cfg["bound_m"],
         epsilon=cfg["epsilon"],
-        kappa=cfg.get("kappa", 0.1),
+        kappa=cfg["kappa"],
     )
     dump = os.path.join(out_dir, "barrier.f64")
     fieldio.save_binary(result.state.field, dump)
@@ -622,15 +532,14 @@ def _run_barrier(cfg: dict, out_dir: str, rng) -> List[str]:
 
 
 def _initial_state(cfg: dict) -> PhaseState:
-    initial = cfg.get("initial", "linear")
+    initial = cfg["initial"]
     epsilon = cfg["epsilon"]
-    bound_m = cfg.get("bound_m", 1.0)
-    if initial not in ("linear", "zero"):
+    bound_m = cfg["bound_m"]
+    if initial not in _STARTS:
         field = fieldio.load_field(initial)
         return PhaseState(field, epsilon, max(bound_m, float(np.max(np.abs(field.values)))))
     domain = Domain.from_dict(cfg["domain"])
-    left = float(cfg["boundary"]["left"])
-    right = float(cfg["boundary"]["right"])
+    left, right = cfg["boundary"]["left"], cfg["boundary"]["right"]
     x = domain.nodes_x
     if initial == "linear":
         vals = minimize._affine_start(x, left, right)
@@ -644,9 +553,8 @@ def _run_minimize(cfg: dict, out_dir: str, rng) -> List[str]:
     state = _initial_state(cfg)
     config = minimize.MinimizeConfig(
         bound_m=state.bound_m,
-        max_iters=cfg.get("max_iters", 200000),
-        tol_grad=cfg.get("tol_grad", 1e-5),
-        step=cfg.get("step"),
+        max_iters=cfg["max_iters"],
+        tol_grad=cfg["tol_grad"],
     )
     result = minimize.minimize_e_eps(state, config)
     breakdown = energy_mod.e_eps(result.state)
@@ -671,12 +579,12 @@ def _run_sweep(cfg: dict, out_dir: str, rng) -> List[str]:
     domain = Domain.from_dict(cfg["domain"])
     entries = minimize.continuation_sweep(
         domain,
-        epsilons=[float(e) for e in cfg["epsilons"]],
-        left_value=float(cfg["boundary"]["left"]),
-        right_value=float(cfg["boundary"]["right"]),
+        epsilons=cfg["epsilons"],
+        left_value=cfg["boundary"]["left"],
+        right_value=cfg["boundary"]["right"],
         bound_m=cfg["bound_m"],
-        tol_grad=cfg.get("tol_grad", 1e-5),
-        max_iters=cfg.get("max_iters", 200000),
+        tol_grad=cfg["tol_grad"],
+        max_iters=cfg["max_iters"],
     )
     rows = [
         [
@@ -729,11 +637,9 @@ def random_positive_field(domain: Domain, rng: np.random.Generator, floor: float
 
 
 def _run_harmonic_check(cfg: dict, out_dir: str, rng) -> List[str]:
-    count = cfg.get("count", 100)
-    n = cfg.get("n", 64)
-    floor = cfg.get("boundary_floor", 0.1)
-    domain = Domain.box(-1.0, 1.0, n)
-    fields = [random_positive_field(domain, rng, floor) for _ in range(count)]
+    count = cfg["count"]
+    domain = Domain.box(-1.0, 1.0, cfg["n"])
+    fields = [random_positive_field(domain, rng, cfg["boundary_floor"]) for _ in range(count)]
 
     def process(field: ScalarField):
         replaced = minimize.harmonic_replacement(field)
@@ -808,9 +714,9 @@ def main(argv=None) -> int:
         if args.seed is not None and isinstance(cfg, dict):
             cfg["seed"] = args.seed
         cfg = parse_config(args.command, cfg)
-        out_dir = args.out if args.out is not None else cfg.get("out", ".")
+        out_dir = args.out if args.out is not None else cfg["out"]
         os.makedirs(out_dir, exist_ok=True)
-        rng = _rng(cfg.get("seed", 0))
+        rng = _rng(cfg["seed"])
         written = _RUNNERS[args.command](cfg, out_dir, rng)
     except PerimeterPhaseError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

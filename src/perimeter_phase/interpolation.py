@@ -38,9 +38,11 @@ from .profiles1d import (
     TAIL_SLOPE_THETA,
     SlopedProfile,
     sloped_profile,
+    tail_well_sup,
     transition_halfwidth,
     transition_profile,
 )
+from .recovery import splice_profile
 
 _SCAN_CANDIDATES = 32
 _BUDGET_SLACK = 1e-9
@@ -402,8 +404,6 @@ def _barrier_feasible(
     diam = 2.0 * rad
     if t_band >= diam:
         return False
-    from .profiles1d import tail_well_sup
-
     return tail_well_sup(epsilon, t_band, diam) * measure <= 0.5
 
 
@@ -465,10 +465,7 @@ def build_barrier(
     shift = slope * t_band
 
     tent = np.clip(slope * s, -bound_m, bound_m)
-    prof = transition_profile(epsilon, s)
-    positive_part = np.maximum(prof, np.maximum(tent - shift, 0.0))
-    negative_part = np.minimum(prof, np.minimum(tent + shift, 0.0))
-    vals = np.where(s >= 0.0, positive_part, negative_part)
+    vals = splice_profile(s, transition_profile(epsilon, s), tent - shift, tent + shift)
 
     sup = float(np.max(np.abs(vals)))
     state = PhaseState(

@@ -7,8 +7,9 @@ the discrete energy at interior nodes is
 
 which is exact for the forward-difference energy with anchor-node well
 sampling.  Steps are clipped to the amplitude box [-M, M], boundary
-nodes stay pinned, and a halving line search keeps the recorded energy
-log non-increasing.  Stationarity is measured by the sup norm of the
+nodes stay pinned, and a halving line search from the explicit stability
+step 0.9 h^2 / (4 dim) keeps the energy log, one entry per iterate,
+non-increasing.  Stationarity is measured by the sup norm of the
 projected gradient u - clip(u - g, -M, M).
 
 harmonic_replacement solves the discrete Laplace equation with the
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
@@ -47,8 +48,6 @@ class MinimizeConfig:
     bound_m: float = 1.0
     max_iters: int = 200000
     tol_grad: float = 1e-5
-    step: Optional[float] = None
-    record_every: int = 1
 
     def __post_init__(self):
         if not (self.bound_m > 0):
@@ -57,10 +56,6 @@ class MinimizeConfig:
             raise DomainError(f"max_iters must be nonnegative, got {self.max_iters}")
         if not (self.tol_grad > 0):
             raise DomainError(f"tol_grad must be positive, got {self.tol_grad}")
-        if self.step is not None and not (self.step > 0):
-            raise DomainError(f"step must be positive, got {self.step}")
-        if self.record_every < 1:
-            raise DomainError(f"record_every must be >= 1, got {self.record_every}")
 
 
 @dataclass
@@ -118,9 +113,7 @@ def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResul
 
     u = np.clip(initial.values.copy(), -bound_m, bound_m)
     u[boundary] = boundary_values[boundary]
-    base_step = config.step
-    if base_step is None:
-        base_step = 0.9 * domain.h * domain.h / (4.0 * domain.dim)
+    base_step = 0.9 * domain.h * domain.h / (4.0 * domain.dim)
 
     def total_energy(vals: np.ndarray) -> float:
         dens = energy_mod._cell_density(vals, domain.h, epsilon)
@@ -151,8 +144,7 @@ def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResul
             )
         u = trial
         current = trial_energy
-        if (iterations + 1) % config.record_every == 0:
-            energies.append(current)
+        energies.append(current)
 
     state = PhaseState(ScalarField(domain, u), epsilon, bound_m)
     return MinimizeResult(
@@ -164,7 +156,11 @@ def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResul
     )
 
 
+# Keyed by domain, least recently used first.  A factor can hold hundreds
+# of MB (about 260 MB for a ball with n=512), so only the most recently
+# used domains keep theirs.
 _LAPLACE_CACHE: dict = {}
+_LAPLACE_CACHE_DOMAINS = 4
 _LAPLACE_LOCK = threading.Lock()
 
 
@@ -222,14 +218,18 @@ def _laplace_system(domain: Domain):
 
     Returns (matrix A, boundary coupling B, interior mask, LU factor of
     A): the interior values of the harmonic extension of node values g
-    solve A x = B @ g.ravel().  The cache fill holds a lock, so
-    concurrent first calls build the system once.
+    solve A x = B @ g.ravel().  The cache keeps the systems of the
+    _LAPLACE_CACHE_DOMAINS most recently used domains; it is read and
+    filled under a lock, so concurrent first calls build the system once.
     """
     key = _domain_cache_key(domain)
     with _LAPLACE_LOCK:
-        system = _LAPLACE_CACHE.get(key)
+        system = _LAPLACE_CACHE.pop(key, None)
         if system is None:
-            system = _LAPLACE_CACHE[key] = _build_laplace_system(domain)
+            while len(_LAPLACE_CACHE) >= _LAPLACE_CACHE_DOMAINS:
+                del _LAPLACE_CACHE[next(iter(_LAPLACE_CACHE))]
+            system = _build_laplace_system(domain)
+        _LAPLACE_CACHE[key] = system
     return system
 
 

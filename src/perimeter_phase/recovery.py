@@ -50,6 +50,20 @@ def _signed_distance_nodes(pair: SharpPair) -> np.ndarray:
     return np.asarray(pair.region.signed_distance(domain.nodes_x, domain.nodes_y), dtype=float)
 
 
+def splice_profile(s: np.ndarray, prof: np.ndarray, upper, lower) -> np.ndarray:
+    """The transition profile inside its band, the shifted values outside.
+
+    max(prof, max(upper, 0)) where s >= 0 and min(prof, min(lower, 0))
+    where s < 0: with upper <= 0 on the positive half of the band and
+    lower >= 0 on its negative half, the band carries the profile alone.
+    """
+    return np.where(
+        s >= 0.0,
+        np.maximum(prof, np.maximum(upper, 0.0)),
+        np.minimum(prof, np.minimum(lower, 0.0)),
+    )
+
+
 def build_recovery(
     pair: SharpPair, epsilon: float, kappa: float = 0.1
 ) -> Tuple[PhaseState, RecoveryReport]:
@@ -82,10 +96,7 @@ def build_recovery(
         delta_bar = 0.0
         delta_under = 0.0
 
-    prof = transition_profile(epsilon, s)
-    positive_part = np.maximum(prof, np.maximum(u - delta_bar, 0.0))
-    negative_part = np.minimum(prof, np.minimum(u - delta_under, 0.0))
-    vals = np.where(pos_side, positive_part, negative_part)
+    vals = splice_profile(s, transition_profile(epsilon, s), u - delta_bar, u - delta_under)
 
     state = PhaseState(
         field=ScalarField(domain, vals), epsilon=epsilon, bound_m=pair.bound_m

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import perimeter_phase as pp
-from perimeter_phase import fieldio
+from perimeter_phase import cli, fieldio
 from perimeter_phase.cli import main, parse_config
 from perimeter_phase.errors import ConfigError
 
@@ -56,6 +56,106 @@ def test_parse_config_accepts_minimal_sweep():
         "boundary": {"left": -1.0, "right": 1.0},
     }
     assert parse_config("sweep", cfg) is cfg
+
+
+@pytest.fixture
+def field_path(tmp_path):
+    dom = pp.Domain.interval(-1.0, 1.0, 64)
+    path = str(tmp_path / "field.f64")
+    fieldio.save_binary(pp.ScalarField(dom, np.full(dom.node_shape, 0.5)), path)
+    return path
+
+
+INTERVAL = {"kind": "interval", "lo": -1.0, "hi": 1.0, "n": 64}
+BOUNDARY = {"left": -1.0, "right": 1.0}
+HALF_LINE = {"type": "interval_union", "intervals": [[0.0, "inf"]]}
+
+
+def minimal_configs(path):
+    """Per subcommand: a valid config with only required keys, and the defaults it gets."""
+    return {
+        "profile": (
+            {"epsilon": 1e-2, "s_max": 1.0},
+            {"profile_kind": "standard", "theta": 0.0, "convention": "tail_slope_theta",
+             "kappa": 0.1, "count": 1001},
+        ),
+        "energy": ({"field": path, "epsilon": 1e-1}, {"region": None}),
+        "recovery": (
+            {"domain": INTERVAL, "region": HALF_LINE, "epsilons": [1e-1]},
+            {"builtin": "zero", "kappa": 0.1, "bound_m": 1.0, "dump_fields": False},
+        ),
+        "glue": (
+            {"u_field": path, "v_field": path, "epsilon": 1e-2, "rho": 0.5, "delta": 0.2,
+             "gamma": 0.5},
+            {"bound_m": 1.0, "convention": "tail_slope_theta"},
+        ),
+        "barrier": (
+            {"domain": INTERVAL, "interface_radius": 0.5, "epsilon": 1e-2},
+            {"bound_m": 1.0, "kappa": 0.1},
+        ),
+        "minimize": (
+            {"domain": INTERVAL, "boundary": BOUNDARY, "epsilon": 1e-1},
+            {"initial": "linear", "bound_m": 1.0, "tol_grad": 1e-5, "max_iters": 200000},
+        ),
+        "sweep": (
+            {"domain": INTERVAL, "epsilons": [1e-1], "bound_m": 1.0, "boundary": BOUNDARY},
+            {"tol_grad": 1e-5, "max_iters": 200000},
+        ),
+        "oracle1d": ({"a": 1.0, "b": 2.0}, {}),
+        "harmonic-check": ({}, {"count": 100, "n": 64, "boundary_floor": 0.1}),
+    }
+
+
+def full_configs(path):
+    """Per subcommand: a valid config that sets every key of its table."""
+    ball = {"kind": "ball", "radius": 1.0, "n": 64, "center": [0.1, 0.0]}
+    return {
+        "profile": {"epsilon": 1e-2, "s_max": 1.0, "profile_kind": "linear_tail", "theta": 0.5,
+                    "convention": "tail_slope_sqrt_theta", "kappa": 0.2, "count": 11},
+        "energy": {"field": path, "epsilon": 1e-1, "region": HALF_LINE},
+        "recovery": {"field": path, "builtin": "constant", "value": 0.5, "domain": INTERVAL,
+                     "region": HALF_LINE, "epsilons": [1e-1, 1e-2], "kappa": 0.2,
+                     "bound_m": 2.0, "dump_fields": True},
+        "glue": {"u_field": path, "v_field": path, "epsilon": 1e-2, "bound_m": 2.0, "rho": 0.5,
+                 "delta": 0.2, "gamma": 0.5, "convention": "tail_slope_sqrt_theta"},
+        "barrier": {"domain": ball, "interface_radius": 0.5, "bound_m": 2.0, "epsilon": 1e-2,
+                    "kappa": 0.2},
+        "minimize": {"initial": path, "domain": INTERVAL, "boundary": BOUNDARY, "epsilon": 1e-1,
+                     "bound_m": 2.0, "tol_grad": 1e-3, "max_iters": 10},
+        "sweep": {"domain": INTERVAL, "epsilons": [1e-1], "bound_m": 1.0, "boundary": BOUNDARY,
+                  "tol_grad": 1e-3, "max_iters": 10},
+        "oracle1d": {"a": 1.0, "b": 2.0},
+        "harmonic-check": {"count": 3, "n": 128, "boundary_floor": 0.5},
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(cli._TABLES))
+def test_parse_config_fills_every_default(kind, field_path):
+    required, defaults = minimal_configs(field_path)[kind]
+    cfg = dict(required)
+    assert parse_config(kind, cfg) is cfg
+    assert set(cfg) == set(required) | set(defaults) | {"seed", "out"}
+    assert cfg["seed"] == 0 and cfg["out"] == "."
+    for key, value in defaults.items():
+        assert cfg[key] == value, key
+
+
+@pytest.mark.parametrize("kind", sorted(cli._TABLES))
+def test_parse_config_accepts_every_table_key(kind, field_path):
+    cfg = dict(full_configs(field_path)[kind], kind=kind, seed=4, out="somewhere")
+    assert set(cfg) - {"kind", "seed", "out"} == set(cli._TABLES[kind])
+    assert parse_config(kind, cfg) is cfg
+
+
+def test_parse_config_makes_epsilons_and_boundary_floats():
+    cfg = {"domain": INTERVAL, "epsilons": [1, 0.5], "bound_m": 2,
+           "boundary": {"left": -1, "right": 2}}
+    parse_config("sweep", cfg)
+    assert cfg["epsilons"] == [1.0, 0.5]
+    assert all(type(e) is float for e in cfg["epsilons"])
+    assert cfg["boundary"] == {"left": -1.0, "right": 2.0}
+    assert all(type(v) is float for v in cfg["boundary"].values())
+    assert type(cfg["bound_m"]) is int
 
 
 def test_profile_linear_tail_requires_theta():
@@ -320,3 +420,26 @@ def test_path_listing_and_quiet_flag(tmp_path, capsys):
     assert str(tmp_path / "oracle1d.json") in out
     assert main(["oracle1d", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_minimize_step_is_an_unknown_key(tmp_path, capsys):
+    payload = {"domain": INTERVAL, "boundary": BOUNDARY, "epsilon": 1e-1, "max_iters": 0,
+               "step": 1e-6}
+    assert run(tmp_path, "minimize", payload) == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert "unknown key 'step'" in err
+    assert not (tmp_path / "minimized.f64").exists()
+
+
+@pytest.mark.parametrize("center", [5, None, [0.1], [0.0, 0.0, 7]])
+def test_malformed_ball_center_is_a_config_error(tmp_path, capsys, center):
+    payload = {
+        "domain": {"kind": "ball", "radius": 1.0, "n": 64, "center": center},
+        "interface_radius": 0.5,
+        "epsilon": 1e-2,
+    }
+    assert run(tmp_path, "barrier", payload) == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert f"domain.center must be two finite numbers, got {center!r}" in err

@@ -54,8 +54,6 @@ def test_minimize_config_validation():
         pp.MinimizeConfig(bound_m=1.0, max_iters=-1)
     with pytest.raises(DomainError):
         pp.MinimizeConfig(bound_m=1.0, tol_grad=0.0)
-    with pytest.raises(DomainError):
-        pp.MinimizeConfig(bound_m=1.0, step=-1e-6)
 
 
 def test_profile_initial_state_is_already_critical():
@@ -235,6 +233,35 @@ def test_laplace_system_built_once_under_concurrent_first_calls(monkeypatch):
     assert len(builds) == 2
     for c, s in zip(concurrent, sequential):
         assert np.array_equal(c.values, s.values)
+
+
+def test_laplace_cache_keeps_the_most_recently_used_domains(monkeypatch):
+    builds = []
+
+    def counting_build(domain):
+        builds.append(domain)
+        return object()
+
+    monkeypatch.setattr(minimize, "_build_laplace_system", counting_build)
+    monkeypatch.setattr(minimize, "_LAPLACE_CACHE", {})
+    bound = minimize._LAPLACE_CACHE_DOMAINS
+    domains = [pp.Domain.interval(-1.0, 1.0, 8 + k) for k in range(bound + 1)]
+    systems = [minimize._laplace_system(d) for d in domains[:bound]]
+    assert len(builds) == bound
+
+    # A hit returns the cached system without a build and makes its
+    # domain the most recently used, so domains[1] is now the oldest.
+    assert minimize._laplace_system(domains[0]) is systems[0]
+    assert len(builds) == bound
+
+    minimize._laplace_system(domains[bound])
+    assert len(builds) == bound + 1
+    assert len(minimize._LAPLACE_CACHE) == bound
+    assert minimize._domain_cache_key(domains[1]) not in minimize._LAPLACE_CACHE
+    assert minimize._laplace_system(domains[0]) is systems[0]
+    assert len(builds) == bound + 1
+    assert minimize._laplace_system(domains[1]) is not systems[1]
+    assert len(builds) == bound + 2
 
 
 def test_harmonic_replacement_residual_guard_fires(monkeypatch):
