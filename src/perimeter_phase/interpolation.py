@@ -38,11 +38,11 @@ from .profiles1d import (
     TAIL_SLOPE_THETA,
     SlopedProfile,
     sloped_profile,
+    splice_profile,
     tail_well_sup,
     transition_halfwidth,
     transition_profile,
 )
-from .recovery import splice_profile
 
 _SCAN_CANDIDATES = 32
 _BUDGET_SLACK = 1e-9

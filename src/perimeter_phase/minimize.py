@@ -14,7 +14,7 @@ projected gradient u - clip(u - g, -M, M).
 
 harmonic_replacement solves the discrete Laplace equation with the
 field's boundary values by a sparse LU factor of the Laplace matrix,
-built once per domain and cached; because the stencil is the exact first
+kept for the last domain solved on; because the stencil is the exact first
 variation of the discrete Dirichlet sum, the replacement is its unique
 minimizer among fields with those boundary values, and the discrete
 minimum principle keeps it positive when the boundary is.
@@ -156,11 +156,10 @@ def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResul
     )
 
 
-# Keyed by domain, least recently used first.  A factor can hold hundreds
-# of MB (about 260 MB for a ball with n=512), so only the most recently
-# used domains keep theirs.
+# Holds the system of the last domain solved on, keyed by domain.  A
+# factor can hold hundreds of MB (about 260 MB for a ball with n=512), so
+# a new domain replaces the cached one.
 _LAPLACE_CACHE: dict = {}
-_LAPLACE_CACHE_DOMAINS = 4
 _LAPLACE_LOCK = threading.Lock()
 
 
@@ -218,18 +217,16 @@ def _laplace_system(domain: Domain):
 
     Returns (matrix A, boundary coupling B, interior mask, LU factor of
     A): the interior values of the harmonic extension of node values g
-    solve A x = B @ g.ravel().  The cache keeps the systems of the
-    _LAPLACE_CACHE_DOMAINS most recently used domains; it is read and
-    filled under a lock, so concurrent first calls build the system once.
+    solve A x = B @ g.ravel().  Only the last domain's system is kept; it
+    is read and replaced under a lock, so concurrent first calls build the
+    system once.
     """
     key = _domain_cache_key(domain)
     with _LAPLACE_LOCK:
-        system = _LAPLACE_CACHE.pop(key, None)
+        system = _LAPLACE_CACHE.get(key)
         if system is None:
-            while len(_LAPLACE_CACHE) >= _LAPLACE_CACHE_DOMAINS:
-                del _LAPLACE_CACHE[next(iter(_LAPLACE_CACHE))]
-            system = _build_laplace_system(domain)
-        _LAPLACE_CACHE[key] = system
+            _LAPLACE_CACHE.clear()
+            system = _LAPLACE_CACHE[key] = _build_laplace_system(domain)
     return system
 
 

@@ -65,6 +65,21 @@ def transition_profile(epsilon, s):
     return float(out) if out.ndim == 0 else out
 
 
+def splice_profile(s, prof, upper, lower) -> np.ndarray:
+    """The transition profile inside its band, the shifted values outside.
+
+    max(prof, max(upper, 0)) where s >= 0 and min(prof, min(lower, 0))
+    where s < 0, for prof = transition_profile(epsilon, s): with upper <= 0
+    on the positive half of the band and lower >= 0 on its negative half,
+    the band carries the profile alone.
+    """
+    return np.where(
+        s >= 0.0,
+        np.maximum(prof, np.maximum(upper, 0.0)),
+        np.minimum(prof, np.minimum(lower, 0.0)),
+    )
+
+
 def transition_profile_derivative(epsilon, s):
     """Derivative of the standard profile: sech(s/eps)^2 / sqrt(eps)."""
     epsilon = _check_epsilon(epsilon)

@@ -27,7 +27,7 @@ from . import energy as energy_mod
 from . import potential
 from .energy import EnergyBreakdown, PhaseState, ScalarField, SharpPair
 from .errors import DomainError, ResolutionError, UnsupportedRegionError
-from .profiles1d import transition_halfwidth, transition_profile
+from .profiles1d import splice_profile, transition_halfwidth, transition_profile
 
 
 @dataclass(frozen=True)
@@ -48,20 +48,6 @@ def _signed_distance_nodes(pair: SharpPair) -> np.ndarray:
         )
     domain = pair.field.domain
     return np.asarray(pair.region.signed_distance(domain.nodes_x, domain.nodes_y), dtype=float)
-
-
-def splice_profile(s: np.ndarray, prof: np.ndarray, upper, lower) -> np.ndarray:
-    """The transition profile inside its band, the shifted values outside.
-
-    max(prof, max(upper, 0)) where s >= 0 and min(prof, min(lower, 0))
-    where s < 0: with upper <= 0 on the positive half of the band and
-    lower >= 0 on its negative half, the band carries the profile alone.
-    """
-    return np.where(
-        s >= 0.0,
-        np.maximum(prof, np.maximum(upper, 0.0)),
-        np.minimum(prof, np.minimum(lower, 0.0)),
-    )
 
 
 def build_recovery(

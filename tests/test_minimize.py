@@ -235,7 +235,7 @@ def test_laplace_system_built_once_under_concurrent_first_calls(monkeypatch):
         assert np.array_equal(c.values, s.values)
 
 
-def test_laplace_cache_keeps_the_most_recently_used_domains(monkeypatch):
+def test_laplace_cache_keeps_only_the_last_domain(monkeypatch):
     builds = []
 
     def counting_build(domain):
@@ -244,24 +244,17 @@ def test_laplace_cache_keeps_the_most_recently_used_domains(monkeypatch):
 
     monkeypatch.setattr(minimize, "_build_laplace_system", counting_build)
     monkeypatch.setattr(minimize, "_LAPLACE_CACHE", {})
-    bound = minimize._LAPLACE_CACHE_DOMAINS
-    domains = [pp.Domain.interval(-1.0, 1.0, 8 + k) for k in range(bound + 1)]
-    systems = [minimize._laplace_system(d) for d in domains[:bound]]
-    assert len(builds) == bound
+    first, second = (pp.Domain.interval(-1.0, 1.0, n) for n in (8, 9))
+    system = minimize._laplace_system(first)
+    assert minimize._laplace_system(first) is system
+    assert len(builds) == 1
 
-    # A hit returns the cached system without a build and makes its
-    # domain the most recently used, so domains[1] is now the oldest.
-    assert minimize._laplace_system(domains[0]) is systems[0]
-    assert len(builds) == bound
-
-    minimize._laplace_system(domains[bound])
-    assert len(builds) == bound + 1
-    assert len(minimize._LAPLACE_CACHE) == bound
-    assert minimize._domain_cache_key(domains[1]) not in minimize._LAPLACE_CACHE
-    assert minimize._laplace_system(domains[0]) is systems[0]
-    assert len(builds) == bound + 1
-    assert minimize._laplace_system(domains[1]) is not systems[1]
-    assert len(builds) == bound + 2
+    # A new domain replaces the cached system instead of adding to it.
+    minimize._laplace_system(second)
+    assert len(builds) == 2
+    assert list(minimize._LAPLACE_CACHE) == [minimize._domain_cache_key(second)]
+    assert minimize._laplace_system(first) is not system
+    assert len(builds) == 3
 
 
 def test_harmonic_replacement_residual_guard_fires(monkeypatch):
