@@ -166,8 +166,6 @@ def _kappa(key, val, violations):
 
 
 def _grid_n(key, n, violations):
-    if n is None:
-        return
     if not isinstance(n, int) or isinstance(n, bool):
         violations.append(f"{key} must be an integer, got {n!r}")
     elif n < _N_MIN or n > _N_MAX or (n & (n - 1)) != 0:
@@ -191,8 +189,9 @@ def _domain(not_interval: Optional[str] = None) -> Callable:
         if kind not in ("interval", "box", "ball"):
             violations.append(f"domain.kind must be interval, box, or ball, got {kind!r}")
             return
-        _grid_n("domain.n", dom.get("n"), violations)
-        if "n" not in dom:
+        if "n" in dom:
+            _grid_n("domain.n", dom["n"], violations)
+        else:
             violations.append("missing required key 'domain.n'")
         if kind == "ball":
             if not _is_number(dom.get("radius")) or not dom["radius"] > 0:

@@ -159,11 +159,42 @@ def _cell_weights(domain: Domain, subdomain: Optional[Region]) -> np.ndarray:
     return w
 
 
+def _cell_stencil(values: np.ndarray):
+    """A node array's cell anchors and their forward neighbours, one per axis."""
+    if values.ndim == 1:
+        return values[:-1], (values[1:],)
+    return values[:-1, :-1], (values[1:, :-1], values[:-1, 1:])
+
+
 def _forward_differences(values: np.ndarray):
     """Per-cell forward differences of a node array: (dx,) or (dx, dy)."""
-    if values.ndim == 1:
-        return (np.diff(values),)
-    return np.diff(values, axis=0)[:, :-1], np.diff(values, axis=1)[:-1, :]
+    anchor, aheads = _cell_stencil(values)
+    return tuple(ahead - anchor for ahead in aheads)
+
+
+def _stencil_density(
+    anchor: np.ndarray,
+    aheads,
+    h: Optional[float] = None,
+    epsilon: Optional[float] = None,
+) -> np.ndarray:
+    """Diffuse energy density of cells given by their stencil values.
+
+    anchor holds each cell's anchor-node value and aheads its forward
+    neighbour along each axis, as full-grid views (``_cell_stencil``) or
+    gathered for a subset of cells.  The density is the squared
+    forward-difference gradient when h is given, plus the well
+    w(anchor / sqrt(eps)) / eps when epsilon is given.
+    """
+    dens = None
+    if h is not None:
+        for ahead in aheads:
+            grad = (ahead - anchor) / h
+            dens = grad * grad if dens is None else dens + grad * grad
+    if epsilon is not None:
+        well = potential.w(anchor / math.sqrt(epsilon)) / epsilon
+        dens = well if dens is None else dens + well
+    return dens
 
 
 def _cell_density(
@@ -171,21 +202,11 @@ def _cell_density(
 ) -> np.ndarray:
     """Diffuse energy density per cell of a raw node array.
 
-    The squared forward-difference gradient when h is given, plus the
-    well w(u_anchor / sqrt(eps)) / eps at the cell's anchor node when
-    epsilon is given.  Works on bare arrays so the descent's inner loop
-    builds no field objects.
+    Works on bare arrays so the descent's inner loop builds no field
+    objects; see ``_stencil_density`` for the terms.
     """
-    dens = None
-    if h is not None:
-        for diff in _forward_differences(values):
-            grad = diff / h
-            dens = grad * grad if dens is None else dens + grad * grad
-    if epsilon is not None:
-        anchors = values[:-1] if values.ndim == 1 else values[:-1, :-1]
-        well = potential.w(anchors / math.sqrt(epsilon)) / epsilon
-        dens = well if dens is None else dens + well
-    return dens
+    anchor, aheads = _cell_stencil(values)
+    return _stencil_density(anchor, aheads, h, epsilon)
 
 
 def dirichlet_energy(field: ScalarField, subdomain: Optional[Region] = None) -> float:

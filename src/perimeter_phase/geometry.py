@@ -372,6 +372,8 @@ class EmptySpace(Region):
 
 
 def region_from_dict(data: dict) -> Region:
+    if not isinstance(data, dict):
+        raise DomainError(f"a region must be an object, got {data!r}")
     kind = data.get("type")
     if kind == "interval_union":
         return IntervalUnion(

@@ -164,50 +164,56 @@ def _ramp_values(radial: np.ndarray, profile: SlopedProfile, r: float, direction
     return profile.value(r - radial)
 
 
-def _ramp_energy_on_sandwich(
-    ramp: np.ndarray,
+def _annulus_stencil(domain: Domain, radial: np.ndarray, spec: AnnulusSpec):
+    """The cells whose anchor node lies in the open annulus.
+
+    Returns their cell weights, the flat indices of the nodes their
+    stencils touch, and a (1 + dim, cells) array locating in those nodes
+    each cell's anchor (row 0) and its forward neighbour along each axis
+    (the rows of ``energy._cell_stencil``).
+    """
+    anchors = radial[:-1] if domain.dim == 1 else radial[:-1, :-1]
+    cells = np.nonzero((anchors > spec.rho) & (anchors < spec.outer_radius))
+    offsets = [0] + [int(np.prod(radial.shape[axis + 1 :])) for axis in range(domain.dim)]
+    stencil = np.ravel_multi_index(cells, radial.shape) + np.array(offsets)[:, None]
+    nodes, where = np.unique(stencil, return_inverse=True)
+    return domain.cell_weights[cells], nodes, where.reshape(stencil.shape)
+
+
+def _glue_stage(
     inner_vals: np.ndarray,
     outer_vals: np.ndarray,
     radial: np.ndarray,
     domain: Domain,
     epsilon: float,
     spec: AnnulusSpec,
-) -> float:
-    """Ramp energy over cells whose anchor lies in the annulus with the
-    ramp strictly between the two states."""
-    dens = energy_mod._cell_density(ramp, domain.h, epsilon)
-    anchor = slice(None, -1)
-    if domain.dim == 2:
-        anchor = (anchor, anchor)
-    anchors, rad_a = ramp[anchor], radial[anchor]
-    sandwich = (inner_vals[anchor] < anchors) & (anchors < outer_vals[anchor])
-    in_annulus = (rad_a > spec.rho) & (rad_a < spec.outer_radius)
-    return float(np.sum(dens * domain.cell_weights * (sandwich & in_annulus)))
-
-
-def _glue_stage(
-    inner_vals: np.ndarray,
-    outer_vals: np.ndarray,
-    domain: Domain,
-    epsilon: float,
-    spec: AnnulusSpec,
     direction: str,
     profile: SlopedProfile,
 ) -> Tuple[np.ndarray, GlueStage]:
-    radial = _radial_nodes(domain)
+    """One ramp composition across the annulus of spec.
+
+    Each candidate radius is scored by the ramp energy over the cells
+    whose anchor lies in the open annulus and whose anchor ramp value lies
+    strictly between the two states; only those cells' stencil nodes are
+    evaluated.  The ramp at the chosen radius is applied on the full grid.
+    """
+    if direction == "rising":
+        lo_v, hi_v = inner_vals, outer_vals
+    else:
+        lo_v, hi_v = outer_vals, inner_vals
+    weights, nodes, where = _annulus_stencil(domain, radial, spec)
+    anchor_nodes = nodes[where[0]]
+    lo_a, hi_a = lo_v.ravel()[anchor_nodes], hi_v.ravel()[anchor_nodes]
+    radial_nodes = radial.ravel()[nodes]
     radii = np.linspace(
         spec.rho + spec.delta / 8.0, spec.rho + spec.delta / 4.0, _SCAN_CANDIDATES
     )
     energies = np.empty(len(radii))
     for i, r in enumerate(radii):
-        ramp = _ramp_values(radial, profile, float(r), direction)
-        if direction == "rising":
-            lo_v, hi_v = inner_vals, outer_vals
-        else:
-            lo_v, hi_v = outer_vals, inner_vals
-        energies[i] = _ramp_energy_on_sandwich(
-            ramp, lo_v, hi_v, radial, domain, epsilon, spec
-        )
+        ramp = _ramp_values(radial_nodes, profile, float(r), direction)[where]
+        dens = energy_mod._stencil_density(ramp[0], ramp[1:], domain.h, epsilon)
+        sandwich = (lo_a < ramp[0]) & (ramp[0] < hi_a)
+        energies[i] = float(np.sum(dens * weights * sandwich))
     best = int(np.argmin(energies))
     r_star = float(radii[best])
     ramp = _ramp_values(radial, profile, r_star, direction)
@@ -272,11 +278,14 @@ def glue(
 
     u = outer_state.values
     v = inner_state.values
+    radial = _radial_nodes(domain)
     ordered = bool(np.all(u >= v))
     stages = []
     if ordered:
         profile = sloped_profile(epsilon, spec.theta, convention)
-        out_vals, stage = _glue_stage(v, u, domain, epsilon, spec, "rising", profile)
+        out_vals, stage = _glue_stage(
+            v, u, radial, domain, epsilon, spec, "rising", profile
+        )
         stages.append(stage)
     else:
         m = np.minimum(u, v)
@@ -284,13 +293,14 @@ def glue(
         spec_outer = AnnulusSpec(spec.rho + half, half, spec.bound_m)
         spec_inner = AnnulusSpec(spec.rho, half, spec.bound_m)
         prof_half = sloped_profile(epsilon, spec_outer.theta, convention)
-        w1, stage1 = _glue_stage(m, u, domain, epsilon, spec_outer, "rising", prof_half)
+        w1, stage1 = _glue_stage(
+            m, u, radial, domain, epsilon, spec_outer, "rising", prof_half
+        )
         out_vals, stage2 = _glue_stage(
-            v, w1, domain, epsilon, spec_inner, "falling", prof_half
+            v, w1, radial, domain, epsilon, spec_inner, "falling", prof_half
         )
         stages.extend([stage1, stage2])
 
-    radial = _radial_nodes(domain)
     inner_zone = radial <= spec.rho
     outer_zone = radial >= spec.outer_radius
     if not np.array_equal(out_vals[inner_zone], v[inner_zone]) or not np.array_equal(

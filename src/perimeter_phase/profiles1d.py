@@ -12,8 +12,12 @@ Two profile families are provided:
 
 Sloped profiles are integrated once per parameter set with a fixed-step
 RK4 scheme plus bisection event detection at the band edge, then cached;
-evaluation uses a cubic Hermite interpolant inside the transition and the
-exact linear tail outside.
+evaluation uses the cubic Hermite interpolant of the integrated values
+and slopes inside the transition and the exact linear tail outside.  The
+interpolant is plain numpy, built and evaluated the way scipy's
+``CubicHermiteSpline`` and ``PPoly`` do (same coefficients, intervals and
+power sums), so values and derivatives match scipy bit for bit without
+importing ``scipy.interpolate``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from . import potential
 from .errors import DomainError, NumericError
@@ -203,6 +206,36 @@ def _integrate_sloped(epsilon: float, theta: float, convention: str):
     return nodes, values, slopes, float(crossing_time)
 
 
+def _hermite_coefficients(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> np.ndarray:
+    """Power coefficients of the cubic Hermite interpolant, highest first.
+
+    Row k of the (4, intervals) result multiplies (s - x[i])**(3 - k) on
+    interval i, computed in the order scipy's CubicHermiteSpline uses.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+
+
+def _evaluate_piecewise(x: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
+    """Evaluate a piecewise polynomial at points the way scipy's PPoly does.
+
+    Interval i holds x[i] <= point < x[i + 1]; the last interval is
+    closed and points outside [x[0], x[-1]] extrapolate the end pieces.
+    The power sum runs from the constant term up, with s**k built by
+    repeated multiplication.
+    """
+    i = np.clip(np.searchsorted(x, points, side="right") - 1, 0, len(x) - 2)
+    s = points - x[i]
+    out = coeffs[-1][i]
+    power = 1.0
+    for c in coeffs[-2::-1]:
+        power = power * s
+        out = out + c[i] * power
+    return out
+
+
 @dataclass(frozen=True)
 class SlopedProfile:
     """Odd increasing profile with an exact linear tail.
@@ -223,14 +256,21 @@ class SlopedProfile:
         nodes, values, slopes, t_star = _integrate_sloped(
             self.epsilon, self.theta, self.convention
         )
-        object.__setattr__(self, "_spline", CubicHermiteSpline(nodes, values, slopes))
+        coeffs = _hermite_coefficients(nodes, values, slopes)
+        object.__setattr__(self, "_knots", nodes)
+        object.__setattr__(self, "_coeffs", coeffs)
+        # The derivative's coefficients, formed as scipy's PPoly.derivative does.
+        slope_coeffs = coeffs[:-1] * np.array([[3.0], [2.0], [1.0]])
+        object.__setattr__(self, "_slope_coeffs", slope_coeffs)
         object.__setattr__(self, "crossing_time", t_star)
         object.__setattr__(self, "tail_slope", math.sqrt(_added_constant(self.theta, self.convention)))
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
         a = np.abs(s)
-        inner = self._spline(np.minimum(a, self.crossing_time))
+        inner = _evaluate_piecewise(
+            self._knots, self._coeffs, np.minimum(a, self.crossing_time)
+        )
         tail = math.sqrt(self.epsilon) + self.tail_slope * (a - self.crossing_time)
         out = np.sign(s) * np.where(a <= self.crossing_time, inner, tail)
         return float(out) if out.ndim == 0 else out
@@ -238,7 +278,9 @@ class SlopedProfile:
     def derivative(self, s):
         s = np.asarray(s, dtype=float)
         a = np.abs(s)
-        inner = self._spline.derivative()(np.minimum(a, self.crossing_time))
+        inner = _evaluate_piecewise(
+            self._knots, self._slope_coeffs, np.minimum(a, self.crossing_time)
+        )
         out = np.where(a <= self.crossing_time, inner, self.tail_slope)
         # Odd profile, even derivative.
         return float(out) if out.ndim == 0 else out

@@ -1,6 +1,9 @@
 """End-to-end runs of the experiment CLI and its config validation."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -443,3 +446,53 @@ def test_malformed_ball_center_is_a_config_error(tmp_path, capsys, center):
     err = capsys.readouterr().err
     assert "error[config]" in err
     assert f"domain.center must be two finite numbers, got {center!r}" in err
+
+
+@pytest.mark.parametrize("region", ["x", 5, [1], None])
+@pytest.mark.parametrize("kind", ["energy", "recovery"])
+def test_region_that_is_not_an_object_is_a_config_error(tmp_path, capsys, field_path, kind, region):
+    payload = {
+        "energy": {"field": field_path, "epsilon": 1e-2, "region": region},
+        "recovery": {"domain": INTERVAL, "region": region, "epsilons": [1e-2]},
+    }[kind]
+    assert run(tmp_path, kind, payload) == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert f"region is not a valid region: a region must be an object, got {region!r}" in err
+
+
+def test_null_domain_n_is_a_config_error(tmp_path, capsys):
+    payload = {
+        "domain": {"kind": "ball", "radius": 1.0, "n": None},
+        "interface_radius": 0.5,
+        "epsilon": 1e-2,
+    }
+    assert run(tmp_path, "barrier", payload) == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert "domain.n must be an integer, got None" in err
+    assert "missing required key 'domain.n'" not in err
+
+
+def test_null_harmonic_check_n_is_a_config_error(tmp_path, capsys):
+    assert run(tmp_path, "harmonic-check", {"count": 1, "n": None}) == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert "n must be an integer, got None" in err
+    assert not (tmp_path / "harmonic.json").exists()
+
+
+def test_cli_import_leaves_heavy_scipy_modules_out():
+    # scipy.interpolate pulls in scipy.special and scipy.optimize, which
+    # every CLI run would pay for at startup.
+    heavy = ("scipy.interpolate", "scipy.special", "scipy.optimize")
+    code = (
+        "import sys, perimeter_phase.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pp.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "[]"

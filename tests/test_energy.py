@@ -254,3 +254,27 @@ def test_gap_norms():
     assert pp.l1_gap(a, b, dom) == pytest.approx(1.0, rel=1e-14)
     c = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
     assert pp.l1_gap(c, np.zeros(5), dom) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cell_density_kernel_on_gathered_cells_matches_the_full_grid(dim):
+    from perimeter_phase.energy import _cell_density, _forward_differences, _stencil_density
+
+    rng = np.random.default_rng(7)
+    dom = pp.Domain.interval(-1.0, 1.0, 64) if dim == 1 else pp.Domain.box(-1.0, 1.0, 32)
+    values = rng.uniform(-1.0, 1.0, dom.node_shape)
+    eps = 3e-2
+    # the stencil's forward differences are np.diff's, bit for bit
+    expect = (np.diff(values),) if dim == 1 else (
+        np.diff(values, axis=0)[:, :-1], np.diff(values, axis=1)[:-1, :])
+    diffs = _forward_differences(values)
+    assert len(diffs) == dim
+    for got, want in zip(diffs, expect):
+        assert np.array_equal(got, want)
+    full = _cell_density(values, dom.h, eps)
+    cells = np.nonzero(rng.random(full.shape) < 0.3)
+    anchor = values[cells]
+    aheads = [values[tuple(c + s for c, s in zip(cells, d))] for d in np.eye(dim, dtype=int)]
+    assert np.array_equal(_stencil_density(anchor, aheads, dom.h, eps), full[cells])
+    assert np.array_equal(_stencil_density(anchor, aheads, h=dom.h), _cell_density(values, h=dom.h)[cells])
+    assert np.array_equal(_stencil_density(anchor, aheads, epsilon=eps), _cell_density(values, epsilon=eps)[cells])

@@ -145,6 +145,90 @@ def test_glue_two_stage_for_unordered_states():
     assert report.phase_l1_gap_outside == 0.0
 
 
+def full_grid_scan(lo_vals, hi_vals, domain, epsilon, spec, direction, radii):
+    """Scan energies from every cell of the grid: the cell density times the
+    cell weight, kept where the anchor lies in the open annulus and the
+    anchor's ramp value lies strictly between the two states."""
+    profile = pp.sloped_profile(epsilon, spec.theta)
+    r_nodes = radial(domain)
+    anchor = (slice(None, -1),) * domain.dim
+    in_annulus = (r_nodes[anchor] > spec.rho) & (r_nodes[anchor] < spec.outer_radius)
+    energies = []
+    for r in radii:
+        ramp = profile.value(r_nodes - r if direction == "rising" else r - r_nodes)
+        dens = pp.energy._cell_density(ramp, domain.h, epsilon)
+        sandwich = (lo_vals[anchor] < ramp[anchor]) & (ramp[anchor] < hi_vals[anchor])
+        energies.append(np.sum(dens * domain.cell_weights * (sandwich & in_annulus)))
+    return np.array(energies)
+
+
+def assert_scan_matches(stage, reference):
+    assert np.max(reference) > 0.0
+    np.testing.assert_allclose(stage.scan_energies, reference, rtol=1e-13, atol=0.0)
+    assert stage.r_star == stage.scan_radii[np.argmin(reference)]
+
+
+def test_glue_annulus_scan_matches_full_grid_ordered_ball():
+    dom = pp.Domain.ball(1.0, 128)
+    eps = 1e-2
+    r = radial(dom)
+    u = pp.transition_profile(eps, 0.7 - r)
+    v = pp.transition_profile(eps, 0.65 - r)
+    spec = pp.AnnulusSpec(0.6, 0.2, 1.0)
+    _, report = pp.glue(
+        pp.PhaseState(pp.ScalarField(dom, v), eps, 1.0),
+        pp.PhaseState(pp.ScalarField(dom, u), eps, 1.0),
+        spec,
+        budget=1e3,
+    )
+    (stage,) = report.stages
+    assert_scan_matches(stage, full_grid_scan(v, u, dom, eps, spec, "rising", stage.scan_radii))
+
+
+def test_glue_annulus_scan_matches_full_grid_unordered_ball():
+    dom = pp.Domain.ball(1.0, 128)
+    eps = 1e-2
+    x, y = dom.nodes_x, dom.nodes_y
+    # shifted discs: each state is the larger one on its side of the annulus
+    u = pp.transition_profile(eps, 0.65 - np.hypot(x - 0.1, y))
+    v = pp.transition_profile(eps, 0.65 - np.hypot(x + 0.1, y))
+    spec = pp.AnnulusSpec(0.6, 0.2, 1.0)
+    _, report = pp.glue(
+        pp.PhaseState(pp.ScalarField(dom, v), eps, 1.0),
+        pp.PhaseState(pp.ScalarField(dom, u), eps, 1.0),
+        spec,
+        budget=1e3,
+    )
+    rising, falling = report.stages
+    spec_outer = pp.AnnulusSpec(0.7, 0.1, 1.0)
+    spec_inner = pp.AnnulusSpec(0.6, 0.1, 1.0)
+    m = np.minimum(u, v)
+    assert_scan_matches(
+        rising, full_grid_scan(m, u, dom, eps, spec_outer, "rising", rising.scan_radii)
+    )
+    ramp = pp.sloped_profile(eps, spec_outer.theta).value(radial(dom) - rising.r_star)
+    w1 = np.minimum(u, np.maximum(m, ramp))
+    assert_scan_matches(
+        falling, full_grid_scan(w1, v, dom, eps, spec_inner, "falling", falling.scan_radii)
+    )
+
+
+def test_glue_annulus_scan_matches_full_grid_interval():
+    dom = pp.Domain.interval(-1.0, 1.0, 1024)
+    eps = 1e-2
+    v = pp.transition_profile(eps, 0.7 - radial(dom))
+    u = np.ones(dom.node_shape)
+    spec = pp.AnnulusSpec(0.6, 0.2, 1.0)
+    _, report = pp.glue(
+        pp.PhaseState(pp.ScalarField(dom, v), eps, 1.0),
+        pp.PhaseState(pp.ScalarField(dom, u), eps, 1.0),
+        spec,
+        budget=1e3,
+    )
+    (stage,) = report.stages
+    assert_scan_matches(stage, full_grid_scan(v, u, dom, eps, spec, "rising", stage.scan_radii))
+
+
 def test_glue_rejects_mismatched_states():
     dom = pp.Domain.ball(1.0, 128)
     other = pp.Domain.ball(1.0, 64)

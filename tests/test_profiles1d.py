@@ -181,6 +181,31 @@ def test_sloped_profile_cached():
     )
 
 
+@pytest.mark.parametrize("convention", [pp.TAIL_SLOPE_THETA, pp.TAIL_SLOPE_SQRT_THETA])
+@pytest.mark.parametrize("epsilon, theta", [(1e-2, 80.0), (1e-2, 160.0), (1e-3, 4.0)])
+def test_sloped_profile_matches_scipy_hermite_bitwise(epsilon, theta, convention):
+    # The core is scipy's CubicHermiteSpline of the integrated knots,
+    # evaluated without importing scipy.interpolate into the package.
+    from scipy.interpolate import CubicHermiteSpline
+
+    from perimeter_phase.profiles1d import _integrate_sloped
+
+    knots, values, slopes, t_star = _integrate_sloped(epsilon, theta, convention)
+    spline = CubicHermiteSpline(knots, values, slopes)
+    prof = pp.sloped_profile(epsilon, theta, convention)
+    assert prof.crossing_time == t_star
+    s = np.concatenate(
+        [knots, [0.0, t_star], np.linspace(0.0, t_star, 300_001),
+         np.random.default_rng(0).uniform(0.0, t_star, 10_000)]
+    )
+    assert np.array_equal(prof.value(s), spline(s))
+    assert np.array_equal(prof.value(-s), -spline(s))
+    assert np.array_equal(prof.derivative(s), spline.derivative()(s))
+    assert np.array_equal(prof.derivative(-s), spline.derivative()(s))
+    assert prof.value(t_star) == spline(t_star)
+    assert prof.derivative(0.0) == spline.derivative()(0.0)
+
+
 def test_sloped_profile_rejects_bad_parameters():
     with pytest.raises(DomainError):
         pp.sloped_profile(-1.0, 2.0)
