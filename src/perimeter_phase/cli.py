@@ -46,6 +46,11 @@ _FLOAT = "%.17g"
 _CONTRACT_CODES = {"budget-exceeded", "infeasible-glue", "numeric"}
 _N_MIN = 2**6
 _N_MAX = 2**20
+# Upper bounds on the sample points of a profile table and on the fields of
+# a harmonic check, so that a mistyped count fails fast instead of running
+# for minutes.
+_PROFILE_COUNT_MAX = 1_000_000
+_HARMONIC_COUNT_MAX = 10_000
 
 
 def _workers() -> int:
@@ -119,12 +124,14 @@ def _number(positive=False) -> Callable:
     return check
 
 
-def _integer(low: int) -> Callable:
+def _integer(low: int, high: Optional[int] = None) -> Callable:
     def check(key, val, violations):
         if not isinstance(val, int) or isinstance(val, bool):
             violations.append(f"{key} must be an integer, got {val!r}")
         elif val < low:
             violations.append(f"{key} must be >= {low}, got {val}")
+        elif high is not None and val > high:
+            violations.append(f"{key} must be <= {high}, got {val}")
 
     return check
 
@@ -257,7 +264,7 @@ _TABLES: Dict[str, Dict[str, _Rule]] = {
         "convention": _CONVENTION,
         "kappa": _KAPPA,
         "s_max": _POSITIVE,
-        "count": _Rule(_integer(2), 1001),
+        "count": _Rule(_integer(2, _PROFILE_COUNT_MAX), 1001),
     },
     "energy": {
         "field": _Rule(_input_file),
@@ -311,7 +318,7 @@ _TABLES: Dict[str, Dict[str, _Rule]] = {
     },
     "oracle1d": {"a": _POSITIVE, "b": _POSITIVE},
     "harmonic-check": {
-        "count": _Rule(_integer(1), 100),
+        "count": _Rule(_integer(1, _HARMONIC_COUNT_MAX), 100),
         "n": _Rule(_grid_n, 64),
         "boundary_floor": _Rule(_number(positive=True), 0.1),
     },

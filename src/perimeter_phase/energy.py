@@ -93,7 +93,10 @@ class SharpPair:
     """A field u and a set, with u >= 0 on the set and u <= 0 off it.
 
     The set is given either as a Region (preferred, enables exact
-    perimeters and signed distances) or as a boolean node mask.
+    perimeters and signed distances) or as a boolean node mask.  A region
+    pair evaluates the region's signed distance at the grid nodes once, at
+    construction, and keeps it read-only as node_sd (None for a mask pair);
+    the node mask is {node_sd >= 0}, as ``geometry.rasterize`` defines it.
     """
 
     field: ScalarField
@@ -104,10 +107,17 @@ class SharpPair:
     def __post_init__(self):
         if (self.region is None) == (self.mask is None):
             raise InvalidPairError("provide exactly one of region or mask")
+        self.node_sd = None
         if self.mask is not None:
             self.mask = np.asarray(self.mask, dtype=bool)
             if self.mask.shape != self.field.domain.node_shape:
                 raise InvalidPairError("mask shape does not match the grid")
+        else:
+            domain = self.field.domain
+            sd = self.region.signed_distance(domain.nodes_x, domain.nodes_y)
+            # A read-only view: the region may hand out an array it owns.
+            self.node_sd = np.asarray(sd, dtype=float).view()
+            self.node_sd.flags.writeable = False
         _check_amplitude(self.field.values, self.bound_m)
         mask = self.node_mask()
         vals = self.field.values
@@ -120,7 +130,7 @@ class SharpPair:
     def node_mask(self) -> np.ndarray:
         if self.mask is not None:
             return self.mask
-        return geometry.rasterize(self.region, self.field.domain)
+        return self.node_sd >= 0.0
 
     def indicator_difference(self) -> np.ndarray:
         """+1 on the set, -1 off it, per node."""
@@ -152,11 +162,19 @@ class PhaseMeasure:
     c_delta: float
 
 
-def _cell_weights(domain: Domain, subdomain: Optional[Region]) -> np.ndarray:
+def _cell_weights(domain: Domain, fraction: Optional[np.ndarray]) -> np.ndarray:
+    """Cell weights, times a subdomain's cell fractions when given."""
     w = domain.cell_weights
-    if subdomain is not None:
-        w = w * geometry.region_cell_fraction(subdomain, domain)
+    if fraction is not None:
+        w = w * fraction
     return w
+
+
+def _subdomain_fraction(domain: Domain, subdomain: Optional[Region]):
+    """A subdomain's cell fractions, or None without a subdomain."""
+    if subdomain is None:
+        return None
+    return geometry.region_cell_fraction(subdomain, domain)
 
 
 def _cell_stencil(values: np.ndarray):
@@ -211,8 +229,9 @@ def _cell_density(
 
 def dirichlet_energy(field: ScalarField, subdomain: Optional[Region] = None) -> float:
     """Sum of |forward-difference gradient|^2 times cell weights."""
-    dens = _cell_density(field.values, h=field.domain.h)
-    return float(np.sum(dens * _cell_weights(field.domain, subdomain)))
+    domain = field.domain
+    weights = _cell_weights(domain, _subdomain_fraction(domain, subdomain))
+    return float(np.sum(_cell_density(field.values, h=domain.h) * weights))
 
 
 def well_energy(
@@ -221,29 +240,38 @@ def well_energy(
     """Sum of w(u / sqrt(eps)) / eps at anchor nodes times cell weights."""
     if not (epsilon > 0):
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    dens = _cell_density(field.values, epsilon=epsilon)
-    return float(np.sum(dens * _cell_weights(field.domain, subdomain)))
+    domain = field.domain
+    weights = _cell_weights(domain, _subdomain_fraction(domain, subdomain))
+    return float(np.sum(_cell_density(field.values, epsilon=epsilon) * weights))
 
 
 def e_eps(state: PhaseState, subdomain: Optional[Region] = None) -> EnergyBreakdown:
-    """Diffuse energy of a state, optionally restricted to a subregion."""
-    d = dirichlet_energy(state.field, subdomain)
-    w = well_energy(state.field, state.epsilon, subdomain)
+    """Diffuse energy of a state, optionally restricted to a subregion.
+
+    The same as dirichlet_energy + well_energy, with the subdomain's cell
+    weights computed once for both sums.
+    """
+    domain = state.domain
+    weights = _cell_weights(domain, _subdomain_fraction(domain, subdomain))
+    d = float(np.sum(_cell_density(state.values, h=domain.h) * weights))
+    w = float(np.sum(_cell_density(state.values, epsilon=state.epsilon) * weights))
     return EnergyBreakdown(dirichlet=d, well=w, perimeter_weighted=0.0, total=d + w)
 
 
 def sharp_energy(pair: SharpPair, subdomain: Optional[Region] = None) -> EnergyBreakdown:
     """Dirichlet energy plus the weighted perimeter of the pair's set."""
-    d = dirichlet_energy(pair.field, subdomain)
     domain = pair.field.domain
+    if pair.region is not None and subdomain is not None:
+        raise UnsupportedRegionError(
+            "perimeter restricted to a subdomain is only supported for mask pairs"
+        )
+    fraction = _subdomain_fraction(domain, subdomain)
+    weights = _cell_weights(domain, fraction)
+    d = float(np.sum(_cell_density(pair.field.values, h=domain.h) * weights))
     if pair.region is not None:
-        if subdomain is not None:
-            raise UnsupportedRegionError(
-                "perimeter restricted to a subdomain is only supported for mask pairs"
-            )
         per = geometry.exact_perimeter(pair.region, domain)
     else:
-        per = _mask_interface_length(pair.mask, domain, subdomain)
+        per = _mask_interface_length(pair.mask, domain, fraction)
     weighted = potential.C0 * per
     return EnergyBreakdown(
         dirichlet=d, well=0.0, perimeter_weighted=weighted, total=d + weighted
@@ -251,12 +279,12 @@ def sharp_energy(pair: SharpPair, subdomain: Optional[Region] = None) -> EnergyB
 
 
 def _mask_interface_length(
-    mask: np.ndarray, domain: Domain, subdomain: Optional[Region]
+    mask: np.ndarray, domain: Domain, fraction: Optional[np.ndarray]
 ) -> float:
-    if subdomain is None:
+    if fraction is None:
         return geometry.interface_length(mask, domain)
     # Count only interface in cells at least half covered by the subdomain.
-    include = geometry.region_cell_fraction(subdomain, domain) >= 0.5
+    include = fraction >= 0.5
     total = np.sum(geometry.per_cell_interface_lengths(mask, domain) * include)
     return float(total * domain.h if domain.dim == 2 else total)
 

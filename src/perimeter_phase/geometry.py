@@ -16,6 +16,7 @@ the two.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -24,6 +25,18 @@ import numpy as np
 from .errors import DomainError, UnsupportedRegionError
 
 _DOMAIN_KINDS = ("interval", "box", "ball")
+
+# Holds the grid arrays of the last domain built, keyed by its parameters.
+# A pipeline builds the same grid many times (every field file read back
+# carries its domain), and a ball grid with n=512 holds about 13 MB, so
+# a new domain replaces the cached grid.
+_GRID_CACHE: dict = {}
+_GRID_LOCK = threading.Lock()
+
+
+def domain_cache_key(domain: "Domain") -> tuple:
+    """The parameters that determine a domain's grid, as a hashable key."""
+    return (domain.kind, domain.n, domain.lo, domain.hi, domain.center, domain.radius)
 
 
 @dataclass
@@ -35,6 +48,11 @@ class Domain:
     bounding box and cell quadrature weights are clipped by the cut
     fraction of the boundary circle; nodes on or outside the circle are
     flagged as boundary.
+
+    Equal domains share their grid arrays (axes, nodes, cell centres,
+    cell and node weights, boundary mask), and these arrays are
+    read-only: writing into one raises ValueError, so copy an array
+    before changing it.
     """
 
     kind: str
@@ -50,13 +68,16 @@ class Domain:
         if int(self.n) != self.n or self.n < 2:
             raise DomainError(f"n must be an integer >= 2, got {self.n}")
         self.n = int(self.n)
+        self.center = (float(self.center[0]), float(self.center[1]))
+        self.radius = float(self.radius)
         if self.kind == "ball":
             if not (self.radius > 0):
                 raise DomainError(f"ball radius must be positive, got {self.radius}")
-            self.center = (float(self.center[0]), float(self.center[1]))
             self.lo = -self.radius
             self.hi = self.radius
         else:
+            self.lo = float(self.lo)
+            self.hi = float(self.hi)
             if not (self.hi > self.lo):
                 raise DomainError(f"need hi > lo, got [{self.lo}, {self.hi}]")
         self._build()
@@ -81,60 +102,13 @@ class Domain:
     # Derived grid data are plain attributes, not dataclass fields, so
     # equality and repr stay parameter-based.
     def _build(self):
-        n = self.n
-        self.dim = 1 if self.kind == "interval" else 2
-        if self.kind == "ball":
-            cx, cy = self.center
-            xs = cx - self.radius + (2.0 * self.radius / n) * np.arange(n + 1)
-            ys = cy - self.radius + (2.0 * self.radius / n) * np.arange(n + 1)
-            self.h = 2.0 * self.radius / n
-        else:
-            xs = self.lo + ((self.hi - self.lo) / n) * np.arange(n + 1)
-            ys = xs
-            self.h = (self.hi - self.lo) / n
-        self.axis_x = xs
-        self.axis_y = ys if self.dim == 2 else None
-
-        if self.dim == 1:
-            self.node_shape = (n + 1,)
-            self.nodes_x = xs
-            self.nodes_y = None
-            self.cell_x = 0.5 * (xs[:-1] + xs[1:])
-            self.cell_y = None
-            cell_w = np.full(n, self.h)
-            boundary = np.zeros(n + 1, dtype=bool)
-            boundary[0] = boundary[-1] = True
-            self.measure = self.hi - self.lo
-        else:
-            self.node_shape = (n + 1, n + 1)
-            X, Y = np.meshgrid(xs, ys, indexing="ij")
-            self.nodes_x = X
-            self.nodes_y = Y
-            self.cell_x = 0.5 * (X[:-1, :-1] + X[1:, :-1])
-            self.cell_y = 0.5 * (Y[:-1, :-1] + Y[:-1, 1:])
-            if self.kind == "box":
-                cell_w = np.full((n, n), self.h * self.h)
-                boundary = np.zeros((n + 1, n + 1), dtype=bool)
-                boundary[0, :] = boundary[-1, :] = True
-                boundary[:, 0] = boundary[:, -1] = True
-                self.measure = (self.hi - self.lo) ** 2
-            else:
-                cx, cy = self.center
-                sd = self.radius - np.hypot(self.cell_x - cx, self.cell_y - cy)
-                frac = np.clip(0.5 + sd / self.h, 0.0, 1.0)
-                cell_w = self.h * self.h * frac
-                node_sd = self.radius - np.hypot(X - cx, Y - cy)
-                boundary = node_sd <= 0.0
-                self.measure = math.pi * self.radius**2
-
-        self.cell_weights = cell_w
-        node_w = np.zeros(self.node_shape)
-        if self.dim == 1:
-            node_w[:-1] = cell_w
-        else:
-            node_w[:-1, :-1] = cell_w
-        self.node_weights = node_w
-        self.boundary_mask = boundary
+        key = domain_cache_key(self)
+        with _GRID_LOCK:
+            grid = _GRID_CACHE.get(key)
+            if grid is None:
+                _GRID_CACHE.clear()
+                grid = _GRID_CACHE[key] = _build_grid(self)
+        vars(self).update(grid)
 
     def signed_distance(self, x, y=None):
         """Signed distance to the domain boundary, positive inside."""
@@ -180,6 +154,74 @@ class Domain:
         if kind == "box":
             return cls.box(data["lo"], data["hi"], data["n"])
         raise DomainError(f"unknown domain kind {kind!r}")
+
+
+def _build_grid(domain: Domain) -> dict:
+    """The derived grid attributes of a domain; its arrays are read-only."""
+    n = domain.n
+    dim = 1 if domain.kind == "interval" else 2
+    if domain.kind == "ball":
+        cx, cy = domain.center
+        xs = cx - domain.radius + (2.0 * domain.radius / n) * np.arange(n + 1)
+        ys = cy - domain.radius + (2.0 * domain.radius / n) * np.arange(n + 1)
+        h = 2.0 * domain.radius / n
+    else:
+        xs = domain.lo + ((domain.hi - domain.lo) / n) * np.arange(n + 1)
+        ys = xs
+        h = (domain.hi - domain.lo) / n
+
+    if dim == 1:
+        node_shape = (n + 1,)
+        nodes_x, nodes_y = xs, None
+        cell_x, cell_y = 0.5 * (xs[:-1] + xs[1:]), None
+        cell_w = np.full(n, h)
+        boundary = np.zeros(n + 1, dtype=bool)
+        boundary[0] = boundary[-1] = True
+        measure = domain.hi - domain.lo
+    else:
+        node_shape = (n + 1, n + 1)
+        nodes_x, nodes_y = np.meshgrid(xs, ys, indexing="ij")
+        cell_x = 0.5 * (nodes_x[:-1, :-1] + nodes_x[1:, :-1])
+        cell_y = 0.5 * (nodes_y[:-1, :-1] + nodes_y[:-1, 1:])
+        if domain.kind == "box":
+            cell_w = np.full((n, n), h * h)
+            boundary = np.zeros((n + 1, n + 1), dtype=bool)
+            boundary[0, :] = boundary[-1, :] = True
+            boundary[:, 0] = boundary[:, -1] = True
+            measure = (domain.hi - domain.lo) ** 2
+        else:
+            cx, cy = domain.center
+            sd = domain.radius - np.hypot(cell_x - cx, cell_y - cy)
+            frac = np.clip(0.5 + sd / h, 0.0, 1.0)
+            cell_w = h * h * frac
+            node_sd = domain.radius - np.hypot(nodes_x - cx, nodes_y - cy)
+            boundary = node_sd <= 0.0
+            measure = math.pi * domain.radius**2
+
+    node_w = np.zeros(node_shape)
+    if dim == 1:
+        node_w[:-1] = cell_w
+    else:
+        node_w[:-1, :-1] = cell_w
+    grid = {
+        "dim": dim,
+        "h": h,
+        "measure": measure,
+        "node_shape": node_shape,
+        "axis_x": xs,
+        "axis_y": ys if dim == 2 else None,
+        "nodes_x": nodes_x,
+        "nodes_y": nodes_y,
+        "cell_x": cell_x,
+        "cell_y": cell_y,
+        "cell_weights": cell_w,
+        "node_weights": node_w,
+        "boundary_mask": boundary,
+    }
+    for value in grid.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return grid
 
 
 def region_cell_fraction(region: "Region", domain: Domain) -> np.ndarray:

@@ -38,7 +38,7 @@ from . import energy as energy_mod
 from . import potential
 from .energy import EnergyBreakdown, PhaseState, ScalarField
 from .errors import DomainError, NumericError
-from .geometry import Domain
+from .geometry import Domain, domain_cache_key
 
 _MAX_HALVINGS = 30
 
@@ -163,10 +163,6 @@ _LAPLACE_CACHE: dict = {}
 _LAPLACE_LOCK = threading.Lock()
 
 
-def _domain_cache_key(domain: Domain):
-    return (domain.kind, domain.n, domain.lo, domain.hi, domain.center, domain.radius)
-
-
 def _build_laplace_system(domain: Domain):
     interior = ~domain.boundary_mask
     m = int(interior.sum())
@@ -221,7 +217,7 @@ def _laplace_system(domain: Domain):
     is read and replaced under a lock, so concurrent first calls build the
     system once.
     """
-    key = _domain_cache_key(domain)
+    key = domain_cache_key(domain)
     with _LAPLACE_LOCK:
         system = _LAPLACE_CACHE.get(key)
         if system is None:

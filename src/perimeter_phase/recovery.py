@@ -41,13 +41,12 @@ class RecoveryReport:
 
 
 def _signed_distance_nodes(pair: SharpPair) -> np.ndarray:
-    if pair.region is None:
+    if pair.node_sd is None:
         raise UnsupportedRegionError(
             "recovery needs a region with a signed distance; "
             "mask-only pairs carry no distance information"
         )
-    domain = pair.field.domain
-    return np.asarray(pair.region.signed_distance(domain.nodes_x, domain.nodes_y), dtype=float)
+    return pair.node_sd
 
 
 def build_recovery(

@@ -386,6 +386,24 @@ def test_config_violations_exit_one(tmp_path, capsys):
     assert "missing required key 'epsilon'" in err
 
 
+@pytest.mark.parametrize(
+    "kind, payload, bound",
+    [
+        ("profile", {"epsilon": 0.01, "s_max": 0.2}, 1_000_000),
+        ("harmonic-check", {}, 10_000),
+    ],
+)
+def test_count_above_its_bound_is_a_config_error(tmp_path, capsys, kind, payload, bound):
+    parse_config(kind, dict(payload, count=bound))
+    cfg = write_config(tmp_path / "c.json", dict(payload, count=bound + 1))
+    out = tmp_path / "out"
+    assert main([kind, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert f"count must be <= {bound}, got {bound + 1}" in err
+    assert not out.exists()
+
+
 def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "o.json", {"a": 1.0, "b": 2.0})
     out = tmp_path / "out"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import perimeter_phase as pp
+from perimeter_phase import geometry
 from perimeter_phase.errors import (
     DomainError,
     InvalidPairError,
@@ -152,6 +153,58 @@ def test_sharp_energy_disc_region_and_mask():
     assert half.perimeter_weighted == pytest.approx(
         0.5 * approx.perimeter_weighted, rel=0.05
     )
+
+
+@pytest.mark.parametrize(
+    "domain, region",
+    [
+        (pp.Domain.interval(-1.0, 1.0, 64), pp.IntervalUnion(((-0.3, 0.25), (0.5, np.inf)))),
+        (pp.Domain.box(-1.0, 1.0, 64), pp.HalfPlane((1.0, 0.3), 0.1)),
+        (pp.Domain.ball(1.0, 64), pp.Disc((0.1, 0.0), 0.5)),
+        (pp.Domain.ball(1.0, 64), pp.Complement(pp.Disc((0.0, 0.0), 0.25))),
+        (
+            pp.Domain.box(-1.0, 1.0, 64),
+            pp.Union((pp.Disc((-0.5, 0.0), 0.25), pp.Disc((0.5, 0.0), 0.25))),
+        ),
+        (pp.Domain.box(-1.0, 1.0, 64), pp.FullSpace()),
+        (pp.Domain.box(-1.0, 1.0, 64), pp.EmptySpace()),
+    ],
+)
+def test_region_pair_mask_is_rasterize_bitwise(domain, region):
+    pair = pp.SharpPair(pp.ScalarField(domain, np.zeros(domain.node_shape)), region=region)
+    mask = pair.node_mask()
+    reference = pp.rasterize(region, domain)
+    assert mask.dtype == reference.dtype == bool
+    assert np.array_equal(mask, reference)
+    assert np.array_equal(pair.indicator_difference(), np.where(reference, 1.0, -1.0))
+
+
+def test_subdomain_energies_compute_cell_fractions_once(monkeypatch):
+    dom = pp.Domain.ball(1.0, 64)
+    values = 0.5 * np.tanh(dom.nodes_x / 0.1)
+    field = pp.ScalarField(dom, values)
+    state = pp.PhaseState(field, 1e-2, 1.0)
+    sub = pp.Disc((0.1, 0.0), 0.5)
+    calls = []
+    real = geometry.region_cell_fraction
+
+    def counting(region, domain):
+        calls.append(region)
+        return real(region, domain)
+
+    monkeypatch.setattr(geometry, "region_cell_fraction", counting)
+    breakdown = pp.e_eps(state, sub)
+    assert len(calls) == 1
+    dirichlet = pp.dirichlet_energy(field, sub)
+    well = pp.well_energy(field, 1e-2, sub)
+    assert (breakdown.dirichlet, breakdown.well) == (dirichlet, well)
+    assert breakdown.total == dirichlet + well
+
+    calls.clear()
+    pair = pp.SharpPair(field, mask=values >= 0.0)
+    sharp = pp.sharp_energy(pair, sub)
+    assert len(calls) == 1
+    assert sharp.dirichlet == dirichlet
 
 
 def test_tv_phase_step_1d():

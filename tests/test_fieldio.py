@@ -2,9 +2,13 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import perimeter_phase as pp
 from perimeter_phase import fieldio
@@ -104,3 +108,34 @@ def test_energies_survive_roundtrip(tmp_path):
     fieldio.save_binary(field, path)
     after = pp.e_eps(pp.PhaseState(fieldio.load_binary(path), 1e-2, 2.0)).total
     assert after == before
+
+
+_coords = st.floats(-5.0, 5.0)
+
+
+@st.composite
+def domains(draw):
+    kind = draw(st.sampled_from(("interval", "box", "ball")))
+    n = draw(st.integers(2, 24))
+    if kind == "ball":
+        center = (draw(_coords), draw(_coords))
+        return pp.Domain.ball(draw(st.floats(1e-2, 10.0)), n, center)
+    lo = draw(_coords)
+    hi = lo + draw(st.floats(1e-3, 10.0))
+    return pp.Domain.interval(lo, hi, n) if kind == "interval" else pp.Domain.box(lo, hi, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_binary_roundtrip_is_bitwise_on_random_grids(data):
+    domain = data.draw(domains())
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = data.draw(arrays(np.float64, domain.node_shape, elements=finite))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.f64")
+        fieldio.save_binary(pp.ScalarField(domain, values), path)
+        loaded = fieldio.load_field(path)
+    assert loaded.domain == domain
+    assert loaded.values.tobytes() == values.tobytes()
+    # The sidecar's domain is the same grid, so it shares the cached arrays.
+    assert loaded.domain.nodes_x is domain.nodes_x

@@ -1,13 +1,32 @@
 """Grids, regions, exact perimeters, and the interface-length estimator."""
 
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perimeter_phase as pp
+from perimeter_phase import geometry
 from perimeter_phase.errors import DomainError, UnsupportedRegionError
 from perimeter_phase.geometry import region_cell_fraction
+
+GRID_ARRAYS = (
+    "axis_x",
+    "axis_y",
+    "nodes_x",
+    "nodes_y",
+    "cell_x",
+    "cell_y",
+    "cell_weights",
+    "node_weights",
+    "boundary_mask",
+)
 
 
 def test_interval_domain_layout():
@@ -65,6 +84,128 @@ def test_domain_dict_roundtrip():
         assert clone.n == dom.n
         assert clone.h == dom.h
         assert np.array_equal(clone.nodes_x, dom.nodes_x)
+
+
+def grid_arrays(domain):
+    return [a for a in (getattr(domain, name) for name in GRID_ARRAYS) if a is not None]
+
+
+def assert_same_grid_bits(a, b):
+    assert (a.dim, a.node_shape, a.h, a.measure) == (b.dim, b.node_shape, b.h, b.measure)
+    for name in GRID_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: pp.Domain.interval(-1.0, 2.0, 16),
+        lambda: pp.Domain.box(-1.0, 1.0, 16),
+        lambda: pp.Domain.ball(1.0, 16, (0.25, -0.5)),
+    ],
+)
+def test_equal_domains_share_read_only_arrays(make):
+    a, b = make(), make()
+    assert a == b and repr(a) == repr(b)
+    for x, y in zip(grid_arrays(a), grid_arrays(b), strict=True):
+        assert x is y
+        assert not x.flags.writeable
+    with pytest.raises(ValueError):
+        a.nodes_x[0] = 5.0
+    with pytest.raises(ValueError):
+        b.cell_weights *= 2.0
+    with pytest.raises(ValueError):
+        a.boundary_mask[...] = False
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (lambda: pp.Domain.ball(1.0, 32), lambda: pp.Domain.ball(1.0, 32, (1e-3, 0.0))),
+        (lambda: pp.Domain.ball(1.0, 32), lambda: pp.Domain.ball(1.0, 64)),
+        (lambda: pp.Domain.box(-1.0, 1.0, 32), lambda: pp.Domain.interval(-1.0, 1.0, 32)),
+        (lambda: pp.Domain.interval(-1.0, 1.0, 32), lambda: pp.Domain.box(-1.0, 1.0, 32)),
+    ],
+)
+def test_unequal_domains_get_their_own_arrays(first, second):
+    a = first()
+    b = second()
+    assert a != b
+    for x in grid_arrays(a):
+        assert all(x is not y for y in grid_arrays(b))
+    geometry._GRID_CACHE.clear()
+    assert_same_grid_bits(b, second())
+
+
+def test_grid_built_once_under_concurrent_first_calls(monkeypatch):
+    builds = []
+    real_build = geometry._build_grid
+
+    def slow_build(domain):
+        builds.append(domain)
+        time.sleep(0.05)
+        return real_build(domain)
+
+    monkeypatch.setattr(geometry, "_build_grid", slow_build)
+    monkeypatch.setattr(geometry, "_GRID_CACHE", {})
+    workers = 4
+    start = threading.Barrier(workers)
+
+    def build(_):
+        start.wait(timeout=10)
+        return pp.Domain.ball(1.0, 32, (0.1, 0.2))
+
+    # More threads than cores, switching often, all missing the cache at once.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(build, i) for i in range(workers)]
+            domains = [f.result(timeout=30) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 1
+    assert all(d.nodes_x is domains[0].nodes_x for d in domains)
+
+
+_coords = st.floats(-5.0, 5.0, allow_subnormal=False)
+
+
+@st.composite
+def grid_params(draw):
+    lo = draw(_coords)
+    return {
+        "kind": draw(st.sampled_from(("interval", "box", "ball"))),
+        "n": draw(st.integers(2, 24)),
+        "bounds": (lo, lo + draw(st.floats(1e-3, 10.0))),
+        "center": (draw(_coords), draw(_coords)),
+        "radius": draw(st.floats(1e-2, 10.0)),
+    }
+
+
+def make_domain(params):
+    lo, hi = params["bounds"]
+    rest = {k: v for k, v in params.items() if k != "bounds"}
+    return pp.Domain(lo=lo, hi=hi, **rest)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(data=st.data())
+def test_cached_grid_equals_a_fresh_build(data):
+    # The second domain equals the first, or differs in one parameter, so
+    # a cache key that missed a parameter would hand it the first's grid.
+    first = data.draw(grid_params())
+    changed = data.draw(st.sampled_from((None,) + tuple(first)))
+    second = dict(first)
+    if changed is not None:
+        second[changed] = data.draw(grid_params())[changed]
+    make_domain(first)
+    cached = make_domain(second)
+    geometry._GRID_CACHE.clear()
+    assert_same_grid_bits(cached, make_domain(second))
 
 
 def test_domain_signed_distance():

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 import perimeter_phase as pp
-from perimeter_phase import minimize
+from perimeter_phase import geometry, minimize
 from perimeter_phase.cli import random_positive_field
 from perimeter_phase.errors import DomainError, NumericError
 
@@ -252,7 +252,7 @@ def test_laplace_cache_keeps_only_the_last_domain(monkeypatch):
     # A new domain replaces the cached system instead of adding to it.
     minimize._laplace_system(second)
     assert len(builds) == 2
-    assert list(minimize._LAPLACE_CACHE) == [minimize._domain_cache_key(second)]
+    assert list(minimize._LAPLACE_CACHE) == [geometry.domain_cache_key(second)]
     assert minimize._laplace_system(first) is not system
     assert len(builds) == 3
 
@@ -263,7 +263,7 @@ def test_harmonic_replacement_residual_guard_fires(monkeypatch):
     zero_factor = SimpleNamespace(solve=lambda b: np.zeros_like(b))
     monkeypatch.setitem(
         minimize._LAPLACE_CACHE,
-        minimize._domain_cache_key(dom),
+        geometry.domain_cache_key(dom),
         (a, coupling, interior, zero_factor),
     )
     field = pp.ScalarField(dom, np.ones(dom.node_shape))

@@ -147,6 +147,30 @@ def test_recovery_resolution_error():
     assert "refine" in str(err.value)
 
 
+class CountingRegion(pp.Region):
+    """A region that counts the evaluations of its signed distance."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def signed_distance(self, x, y=None):
+        self.calls += 1
+        return self.inner.signed_distance(x, y)
+
+
+def test_recovery_evaluates_the_signed_distance_once_per_pair():
+    dom = pp.Domain.ball(1.0, 128)
+    region = CountingRegion(pp.Disc((0.1, 0.0), 0.4))
+    pair = pp.SharpPair(pp.ScalarField(dom, np.zeros(dom.node_shape)), region=region)
+    reports = pp.recovery_curve(pair, [3e-2, 1e-2])
+    assert len(reports) == 2
+    assert region.calls == 1
+    expected = region.inner.signed_distance(dom.nodes_x, dom.nodes_y)
+    assert pair.node_sd.tobytes() == expected.tobytes()
+    assert not pair.node_sd.flags.writeable
+
+
 def test_recovery_mask_only_pair_rejected():
     dom = pp.Domain.interval(-1.0, 1.0, 256)
     x = dom.nodes_x
