@@ -202,16 +202,18 @@ def _stencil_density(
     neighbour along each axis, as full-grid views (``_cell_stencil``) or
     gathered for a subset of cells.  The density is the squared
     forward-difference gradient when h is given, plus the well
-    w(anchor / sqrt(eps)) / eps when epsilon is given.
+    w(anchor / sqrt(eps)) / eps when epsilon is given, each term added
+    in place into the first, in this order.
     """
     dens = None
     if h is not None:
         for ahead in aheads:
             grad = (ahead - anchor) / h
-            dens = grad * grad if dens is None else dens + grad * grad
+            grad *= grad
+            dens = grad if dens is None else np.add(dens, grad, out=dens)
     if epsilon is not None:
         well = potential.w(anchor / math.sqrt(epsilon)) / epsilon
-        dens = well if dens is None else dens + well
+        dens = well if dens is None else np.add(dens, well, out=dens)
     return dens
 
 

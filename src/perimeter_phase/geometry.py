@@ -46,8 +46,8 @@ class Domain:
     n is the number of cells per axis, so each axis carries n + 1 nodes at
     lo + i * h with h = (hi - lo) / n.  For balls the grid spans the
     bounding box and cell quadrature weights are clipped by the cut
-    fraction of the boundary circle; nodes on or outside the circle are
-    flagged as boundary.
+    fraction of the boundary circle; nodes on or outside the circle, and
+    every node on the edge of the array, are flagged as boundary.
 
     Equal domains share their grid arrays (axes, nodes, cell centres,
     cell and node weights, boundary mask), and these arrays are
@@ -183,11 +183,13 @@ def _build_grid(domain: Domain) -> dict:
         nodes_x, nodes_y = np.meshgrid(xs, ys, indexing="ij")
         cell_x = 0.5 * (nodes_x[:-1, :-1] + nodes_x[1:, :-1])
         cell_y = 0.5 * (nodes_y[:-1, :-1] + nodes_y[:-1, 1:])
+        # The array edge is boundary for a ball too: rounding can put an
+        # edge node where the circle touches the edge a few ulp inside it.
+        boundary = np.zeros(node_shape, dtype=bool)
+        boundary[0, :] = boundary[-1, :] = True
+        boundary[:, 0] = boundary[:, -1] = True
         if domain.kind == "box":
             cell_w = np.full((n, n), h * h)
-            boundary = np.zeros((n + 1, n + 1), dtype=bool)
-            boundary[0, :] = boundary[-1, :] = True
-            boundary[:, 0] = boundary[:, -1] = True
             measure = (domain.hi - domain.lo) ** 2
         else:
             cx, cy = domain.center
@@ -195,7 +197,7 @@ def _build_grid(domain: Domain) -> dict:
             frac = np.clip(0.5 + sd / h, 0.0, 1.0)
             cell_w = h * h * frac
             node_sd = domain.radius - np.hypot(nodes_x - cx, nodes_y - cy)
-            boundary = node_sd <= 0.0
+            boundary |= node_sd <= 0.0
             measure = math.pi * domain.radius**2
 
     node_w = np.zeros(node_shape)

@@ -6,11 +6,15 @@ the discrete energy at interior nodes is
     -2 * (discrete Laplacian) + w'(u / sqrt(eps)) / eps**(3/2),
 
 which is exact for the forward-difference energy with anchor-node well
-sampling.  Steps are clipped to the amplitude box [-M, M], boundary
-nodes stay pinned, and a halving line search from the explicit stability
-step 0.9 h^2 / (4 dim) keeps the energy log, one entry per iterate,
+sampling on full-weight cells (not next to the cut cells of a ball).
+Steps are clipped to the amplitude box [-M, M], boundary nodes stay
+pinned, and a halving line search from the explicit stability step
+0.9 h^2 / (4 dim) keeps the energy log, one entry per iterate,
 non-increasing.  Stationarity is measured by the sup norm of the
-projected gradient u - clip(u - g, -M, M).
+projected gradient u - clip(u - g, -M, M).  A step works in place in
+one reused trial buffer and keeps the order of the floating-point
+operations up to power-of-two rescalings and sign flips, so iterates
+and logs are bitwise those of the plain out-of-place formulas.
 
 harmonic_replacement solves the discrete Laplace equation with the
 field's boundary values by a sparse LU factor of the Laplace matrix,
@@ -71,31 +75,31 @@ def energy_gradient(values: np.ndarray, domain: Domain, epsilon: float) -> np.nd
     """First variation of the discrete energy per unit cell volume.
 
     Returns -2 * Laplacian(u) + w'(u / sqrt(eps)) / eps^(3/2) at interior
-    nodes and zero on the boundary.
+    nodes and zero on the boundary.  Every node on the edge of the array
+    is a boundary node, so the inner block and the boundary cover g.
     """
-    h2 = domain.h * domain.h
-    g = np.zeros_like(values)
+    g = np.empty(values.shape)
+    inner = (slice(1, -1),) * domain.dim
+    lap = g[inner]
     if domain.dim == 1:
-        lap = (values[:-2] - 2.0 * values[1:-1] + values[2:]) / h2
-        g[1:-1] = -2.0 * lap
+        np.subtract(values[:-2], 2.0 * values[1:-1], lap)
+        lap += values[2:]
     else:
-        lap = (
-            values[:-2, 1:-1]
-            + values[2:, 1:-1]
-            + values[1:-1, :-2]
-            + values[1:-1, 2:]
-            - 4.0 * values[1:-1, 1:-1]
-        ) / h2
-        g[1:-1, 1:-1] = -2.0 * lap
-    g += potential.w_prime(values / math.sqrt(epsilon)) / epsilon**1.5
-    g[domain.boundary_mask] = 0.0
+        np.add(values[:-2, 1:-1], values[2:, 1:-1], lap)
+        lap += values[1:-1, :-2]
+        lap += values[1:-1, 2:]
+        lap -= 4.0 * values[1:-1, 1:-1]
+    lap /= -0.5 * (domain.h * domain.h)  # -2 * (sum / h^2), bit for bit
+    lap += potential.w_prime(values[inner] / math.sqrt(epsilon)) / epsilon**1.5
+    np.copyto(g, 0.0, where=domain.boundary_mask)
     return g
 
 
-def _project(values: np.ndarray, bound_m: float, boundary_mask, boundary_values):
-    out = np.clip(values, -bound_m, bound_m)
-    out[boundary_mask] = boundary_values[boundary_mask]
-    return out
+def _project(values: np.ndarray, bound_m: float, flat, pinned) -> None:
+    """Clip values to [-M, M] in place and write the pinned boundary values."""
+    np.maximum(values, -bound_m, out=values)
+    np.minimum(values, bound_m, out=values)
+    values.ravel()[flat] = pinned
 
 
 def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResult:
@@ -108,11 +112,13 @@ def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResul
     domain = initial.domain
     epsilon = initial.epsilon
     bound_m = config.bound_m
-    boundary = domain.boundary_mask
-    boundary_values = initial.values
+    flat = np.flatnonzero(domain.boundary_mask)
+    pinned = initial.values.ravel()[flat]
 
-    u = np.clip(initial.values.copy(), -bound_m, bound_m)
-    u[boundary] = boundary_values[boundary]
+    u = initial.values.copy()
+    _project(u, bound_m, flat, pinned)
+    # Holds u - P(u - g), then each trial; swapped with u on acceptance.
+    trial = np.empty_like(u)
     base_step = 0.9 * domain.h * domain.h / (4.0 * domain.dim)
 
     def total_energy(vals: np.ndarray) -> float:
@@ -125,14 +131,18 @@ def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResul
     # is the number of steps taken; the last pass only measures.
     for iterations in range(config.max_iters + 1):
         g = energy_gradient(u, domain, epsilon)
-        projected = _project(u - g, bound_m, boundary, boundary_values)
-        grad_sup = float(np.max(np.abs(u - projected)))
+        np.subtract(u, g, trial)
+        _project(trial, bound_m, flat, pinned)
+        np.subtract(u, trial, trial)
+        grad_sup = float(np.max(np.abs(trial, trial)))
         converged = grad_sup <= config.tol_grad
         if converged or iterations == config.max_iters:
             break
         step = base_step
         for _ in range(_MAX_HALVINGS + 1):
-            trial = _project(u - step * g, bound_m, boundary, boundary_values)
+            np.multiply(g, step, trial)
+            np.subtract(u, trial, trial)
+            _project(trial, bound_m, flat, pinned)
             trial_energy = total_energy(trial)
             if trial_energy <= current:
                 break
@@ -142,7 +152,7 @@ def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResul
                 "descent stalled: no step of the line search decreased the "
                 f"energy at projected-gradient sup {grad_sup:.3e}"
             )
-        u = trial
+        u, trial = trial, u
         current = trial_energy
         energies.append(current)
 

@@ -38,17 +38,20 @@ def _scalar_or_array(out: np.ndarray, like) -> float | np.ndarray:
 def w(t):
     """Double-well density: (1 - t^2)^2 on [-1, 1], zero outside."""
     t = _as_array(t)
-    inside = np.abs(t) <= 1.0
-    out = np.where(inside, (1.0 - t * t) ** 2, 0.0)
-    return _scalar_or_array(out, t)
+    # Bitwise the piecewise form: t*t > 1 iff |t| > 1; fmax sends nan to 0.
+    s = np.fmax(1.0 - t * t, 0.0)
+    return _scalar_or_array(s * s, t)
 
 
 def w_prime(t):
     """Derivative of ``w``: -4 t (1 - t^2) on [-1, 1], zero outside."""
     t = _as_array(t)
-    inside = np.abs(t) <= 1.0
-    out = np.where(inside, -4.0 * t * (1.0 - t * t), 0.0)
-    return _scalar_or_array(out, t)
+    # -4 * (t * s) is (-4 t) * s bit for bit; s >= 0 is |t| <= 1, not nan.
+    s = 1.0 - t * t
+    inside = s >= 0.0
+    s *= t
+    s *= -4.0
+    return _scalar_or_array(np.where(inside, s, 0.0), t)
 
 
 def h(t):

@@ -64,6 +64,16 @@ def test_ball_domain_layout():
     assert np.array_equal(dom.boundary_mask, r >= 1.0 - 1e-15)
 
 
+@pytest.mark.parametrize("n, center", [(98, (0.0, 0.0)), (196, (0.0, 0.0)), (98, (0.1, 0.2))])
+def test_ball_array_edge_is_boundary(n, center):
+    # At these n the edge node where the circle touches the array edge
+    # rounds to a signed distance of +2^-52; it is still a boundary node.
+    dom = pp.Domain.ball(1.0, n, center)
+    edge = np.ones(dom.node_shape, dtype=bool)
+    edge[1:-1, 1:-1] = False
+    assert dom.boundary_mask[edge].all()
+
+
 def test_domain_rejects_bad_input():
     with pytest.raises(DomainError):
         pp.Domain.interval(1.0, -1.0, 8)

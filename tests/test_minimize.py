@@ -1,5 +1,6 @@
 """Projected descent, harmonic replacement, and the 1D sharp oracle."""
 
+import math
 import sys
 import threading
 import time
@@ -9,6 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 import perimeter_phase as pp
@@ -45,6 +48,243 @@ def test_energy_gradient_2d_boundary_zero():
     g = pp.energy_gradient(u, dom, 5e-2)
     assert np.all(g[dom.boundary_mask] == 0.0)
     assert np.any(g[~dom.boundary_mask] != 0.0)
+
+
+def _exact_nodes(dom):
+    """Interior nodes whose cells (the one each anchors and those of its
+    backward neighbours) all have full weight.  The gradient is the first
+    variation of e_eps exactly there; next to the cut cells of a ball the
+    clipped weights enter the energy but not the stencil."""
+    exact = ~dom.boundary_mask
+    if dom.dim == 2:
+        full = np.zeros(dom.node_shape, dtype=bool)
+        full[:-1, :-1] = dom.cell_weights == dom.h * dom.h
+        exact &= full
+        exact[1:, :] &= full[:-1, :]
+        exact[:, 1:] &= full[:, :-1]
+    return np.flatnonzero(exact)
+
+
+_PROPERTY_DOMAINS = {
+    "interval": lambda: pp.Domain.interval(-1.0, 1.0, 32),
+    "box": lambda: pp.Domain.box(-1.0, 1.0, 12),
+    "ball": lambda: pp.Domain.ball(1.0, 12),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(sorted(_PROPERTY_DOMAINS)),
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.floats(0.02, 0.5),
+)
+def test_energy_gradient_is_the_first_variation(kind, seed, eps):
+    dom = _PROPERTY_DOMAINS[kind]()
+    rng = np.random.default_rng(seed)
+    root = math.sqrt(eps)
+    # Values on both sides of the well's edges |u| = sqrt(eps).
+    u = root * rng.uniform(-1.5, 1.5, dom.node_shape)
+    g = pp.energy_gradient(u, dom, eps)
+    assert np.all(g[dom.boundary_mask] == 0.0)
+    assert not np.any(np.signbit(g[dom.boundary_mask]))
+
+    def total(vals):
+        return pp.e_eps(pp.PhaseState(pp.ScalarField(dom, vals), eps, 2.0)).total
+
+    # e_eps is a polynomial of degree <= 4 in one node value as long as that
+    # value stays off the kinks |u| = sqrt(eps) of w'', so the five-point
+    # difference quotient is exact up to rounding in the sums.
+    step = 1e-5
+    away = np.abs(np.abs(u.ravel()) - root) > 1e-3
+    candidates = np.intersect1d(_exact_nodes(dom), np.flatnonzero(away))
+    cell_volume = dom.h**dom.dim
+    for flat in rng.choice(candidates, size=min(5, candidates.size), replace=False):
+        index = np.unravel_index(flat, dom.node_shape)
+        values = []
+        for k in (-2, -1, 1, 2):
+            shifted = u.copy()
+            shifted[index] += k * step
+            values.append(total(shifted))
+        numeric = (values[0] - 8.0 * values[1] + 8.0 * values[2] - values[3]) / (12.0 * step)
+        assert numeric == pytest.approx(cell_volume * g[index], rel=1e-6, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# The projected descent with every pass out of place: the gradient, the
+# projection, the energy and the well as plain formulas.  minimize_e_eps
+# works in place and must reproduce these iterates bit for bit.
+
+
+def _reference_w(t):
+    inside = np.abs(t) <= 1.0
+    return np.where(inside, (1.0 - t * t) ** 2, 0.0)
+
+
+def _reference_w_prime(t):
+    inside = np.abs(t) <= 1.0
+    return np.where(inside, -4.0 * t * (1.0 - t * t), 0.0)
+
+
+def _reference_gradient(values, domain, epsilon):
+    h2 = domain.h * domain.h
+    g = np.zeros_like(values)
+    if domain.dim == 1:
+        lap = (values[:-2] - 2.0 * values[1:-1] + values[2:]) / h2
+        g[1:-1] = -2.0 * lap
+    else:
+        lap = (
+            values[:-2, 1:-1]
+            + values[2:, 1:-1]
+            + values[1:-1, :-2]
+            + values[1:-1, 2:]
+            - 4.0 * values[1:-1, 1:-1]
+        ) / h2
+        g[1:-1, 1:-1] = -2.0 * lap
+    g += _reference_w_prime(values / math.sqrt(epsilon)) / epsilon**1.5
+    g[domain.boundary_mask] = 0.0
+    return g
+
+
+def _reference_cell_density(values, h, epsilon):
+    if values.ndim == 1:
+        anchor, aheads = values[:-1], (values[1:],)
+    else:
+        anchor, aheads = values[:-1, :-1], (values[1:, :-1], values[:-1, 1:])
+    dens = None
+    for ahead in aheads:
+        grad = (ahead - anchor) / h
+        dens = grad * grad if dens is None else dens + grad * grad
+    return dens + _reference_w(anchor / math.sqrt(epsilon)) / epsilon
+
+
+def _reference_project(values, bound_m, boundary_mask, boundary_values):
+    out = np.clip(values, -bound_m, bound_m)
+    out[boundary_mask] = boundary_values[boundary_mask]
+    return out
+
+
+def _reference_descent(initial, config):
+    domain = initial.domain
+    epsilon = initial.epsilon
+    bound_m = config.bound_m
+    boundary = domain.boundary_mask
+    boundary_values = initial.values
+
+    u = np.clip(initial.values.copy(), -bound_m, bound_m)
+    u[boundary] = boundary_values[boundary]
+    base_step = 0.9 * domain.h * domain.h / (4.0 * domain.dim)
+
+    def total_energy(vals):
+        dens = _reference_cell_density(vals, domain.h, epsilon)
+        return float(np.sum(dens * domain.cell_weights))
+
+    current = total_energy(u)
+    energies = [current]
+    for iterations in range(config.max_iters + 1):
+        g = _reference_gradient(u, domain, epsilon)
+        projected = _reference_project(u - g, bound_m, boundary, boundary_values)
+        grad_sup = float(np.max(np.abs(u - projected)))
+        converged = grad_sup <= config.tol_grad
+        if converged or iterations == config.max_iters:
+            break
+        step = base_step
+        for _ in range(minimize._MAX_HALVINGS + 1):
+            trial = _reference_project(u - step * g, bound_m, boundary, boundary_values)
+            trial_energy = total_energy(trial)
+            if trial_energy <= current:
+                break
+            step *= 0.5
+        else:
+            raise NumericError("descent stalled")
+        u = trial
+        current = trial_energy
+        energies.append(current)
+
+    state = pp.PhaseState(pp.ScalarField(domain, u), epsilon, bound_m)
+    return minimize.MinimizeResult(
+        state=state,
+        energies=np.asarray(energies),
+        iterations=iterations,
+        grad_sup=grad_sup,
+        converged=converged,
+    )
+
+
+def _descent_case(name):
+    """(initial state, config) of a named descent."""
+    if name in ("zero", "linear"):
+        dom = pp.Domain.interval(-1.0, 1.0, 512)
+        vals = np.zeros(dom.node_shape) if name == "zero" else dom.nodes_x.copy()
+        vals[0], vals[-1] = -1.0, 1.0
+        state = pp.PhaseState(pp.ScalarField(dom, vals), 1e-2, 2.0)
+        return state, pp.MinimizeConfig(bound_m=2.0, max_iters=1500, tol_grad=1e-4)
+    if name == "bound_active":
+        # sqrt(eps) = 0.3 > M = 0.2: the well pushes the state onto the bound,
+        # the line search halves, and the descent converges.
+        dom = pp.Domain.interval(-1.0, 1.0, 256)
+        state = pp.PhaseState(pp.ScalarField(dom, 0.2 * dom.nodes_x), 0.09, 0.2)
+        return state, pp.MinimizeConfig(bound_m=0.2, max_iters=3000, tol_grad=1e-5)
+    # At n=98 rounding puts four array-edge nodes of the ball a few ulp
+    # inside the circle; they are boundary nodes all the same.
+    dom = {
+        "box": lambda: pp.Domain.box(-1.0, 1.0, 48),
+        "ball": lambda: pp.Domain.ball(1.0, 48),
+        "ball98": lambda: pp.Domain.ball(1.0, 98),
+        "ball98_off_centre": lambda: pp.Domain.ball(1.0, 98, (0.1, 0.2)),
+    }[name]()
+    vals = np.clip(np.random.default_rng(3).normal(0.0, 0.5, dom.node_shape), -1.0, 1.0)
+    # -0.0 entries: a sign flip of a zero would show in the bytes.  At this
+    # eps the line search halves on some steps.
+    vals[::7, ::5] = -0.0
+    state = pp.PhaseState(pp.ScalarField(dom, vals), 2e-3, 1.0)
+    return state, pp.MinimizeConfig(bound_m=1.0, max_iters=300, tol_grad=1e-6)
+
+
+@pytest.mark.parametrize(
+    "name", ["zero", "linear", "bound_active", "box", "ball", "ball98", "ball98_off_centre"]
+)
+def test_descent_is_bitwise_the_out_of_place_reference(name):
+    initial, config = _descent_case(name)
+    before = initial.values.copy()
+    result = pp.minimize_e_eps(initial, config)
+    expected = _reference_descent(initial, config)
+    assert result.state.values.tobytes() == expected.state.values.tobytes()
+    assert result.energies.tobytes() == expected.energies.tobytes()
+    assert result.grad_sup == expected.grad_sup
+    assert result.iterations == expected.iterations
+    assert result.converged == expected.converged
+    assert initial.values.tobytes() == before.tobytes()
+    if name == "bound_active":
+        assert result.converged
+        assert np.any(np.abs(result.state.values[1:-1]) == config.bound_m)
+
+
+@pytest.mark.parametrize("name", ["zero", "box", "ball", "ball98", "ball98_off_centre"])
+def test_energy_gradient_is_bitwise_the_reference_formula(name):
+    initial, _ = _descent_case(name)
+    dom, u = initial.domain, initial.values
+    for values in (u, np.asfortranarray(u), np.zeros_like(u), -np.zeros_like(u)):
+        g = pp.energy_gradient(values, dom, initial.epsilon)
+        assert g.tobytes() == _reference_gradient(values, dom, initial.epsilon).tobytes()
+
+
+def test_sweep_is_bitwise_the_sweep_over_the_reference_descent(monkeypatch):
+    dom = pp.Domain.interval(-1.0, 1.0, 1024)
+
+    def sweep():
+        return pp.continuation_sweep(
+            dom, (1e-1, 1e-2, 1e-3), -1.0, 3.0, bound_m=3.0, tol_grad=1e-4, max_iters=200
+        )
+
+    entries = sweep()
+    monkeypatch.setattr(minimize, "minimize_e_eps", _reference_descent)
+    expected = sweep()
+    assert len(entries) == len(expected) == 3
+    for entry, ref in zip(entries, expected):
+        assert entry.state.values.tobytes() == ref.state.values.tobytes()
+        fields = ("epsilon", "energy", "tv", "interface", "l2_gap_to_oracle",
+                  "phase_l1_gap", "iterations", "grad_sup", "converged")
+        assert [getattr(entry, f) for f in fields] == [getattr(ref, f) for f in fields]
 
 
 def test_minimize_config_validation():
@@ -176,8 +416,13 @@ def _independent_harmonic_interior(domain, values):
 
 @pytest.mark.parametrize(
     "domain",
-    [pp.Domain.box(-1.0, 1.0, 64), pp.Domain.ball(1.0, 64), pp.Domain.interval(-1.0, 1.0, 256)],
-    ids=["box64", "ball64", "interval256"],
+    [
+        pp.Domain.box(-1.0, 1.0, 64),
+        pp.Domain.ball(1.0, 64),
+        pp.Domain.ball(1.0, 98),
+        pp.Domain.interval(-1.0, 1.0, 256),
+    ],
+    ids=["box64", "ball64", "ball98", "interval256"],
 )
 def test_harmonic_replacement_matches_independent_direct_solve(domain):
     rng = np.random.default_rng(83)

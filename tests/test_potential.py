@@ -41,6 +41,42 @@ def test_well_derivative_matches_difference_quotient():
     assert w_prime(-1.5) == 0.0
 
 
+def _piecewise_w(t: float) -> float:
+    if abs(t) <= 1.0:
+        s = 1.0 - t * t
+        return s * s
+    return 0.0
+
+
+def _piecewise_w_prime(t: float) -> float:
+    return -4.0 * t * (1.0 - t * t) if abs(t) <= 1.0 else 0.0
+
+
+_EDGES = [
+    0.0, -0.0, 1.0, -1.0,
+    np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0),
+    np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0),
+    1e200, -1e200, math.inf, -math.inf, math.nan,
+    0.5, -0.3, 1e-160, 5e-324,
+]
+
+
+@pytest.mark.parametrize("fn, piecewise", [(w, _piecewise_w), (w_prime, _piecewise_w_prime)])
+def test_well_edge_values_are_bitwise_the_piecewise_form(fn, piecewise):
+    # Signed zeros, the cut at |t| = 1, overflow of t*t, infinities and nan
+    # all give the piecewise definition's bits, evaluated on Python floats.
+    t = np.array(_EDGES)
+    before = t.copy()
+    expected = np.array([piecewise(float(x)) for x in _EDGES])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = fn(t)
+        scalars = [fn(float(x)) for x in _EDGES]
+    assert t.tobytes() == before.tobytes()
+    assert values.tobytes() == expected.tobytes()
+    assert all(type(v) is float for v in scalars)
+    assert np.array(scalars).tobytes() == expected.tobytes()
+
+
 def test_antiderivative_h():
     # h' = 2 sqrt(w) inside [-1, 1], clamped at +/- 4/3 beyond.
     assert h(0.0) == 0.0
