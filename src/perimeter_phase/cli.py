@@ -35,6 +35,10 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
+# Every run seeds a generator, so numpy.random, which numpy loads lazily,
+# loads with this module rather than inside the first run.
+from numpy.random import Generator, Philox
+
 from . import fieldio, potential
 from . import energy as energy_mod
 from . import interpolation, minimize, profiles1d, recovery
@@ -63,8 +67,8 @@ def _workers() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
+def _rng(seed: int) -> Generator:
+    return Generator(Philox(seed))
 
 
 def _fmt(x: float) -> str:
@@ -635,7 +639,7 @@ def _bilinear_upsample(coarse: np.ndarray, m: int) -> np.ndarray:
     return rows[:, i0] * (1.0 - f)[None, :] + rows[:, i0 + 1] * f[None, :]
 
 
-def random_positive_field(domain: Domain, rng: np.random.Generator, floor: float) -> ScalarField:
+def random_positive_field(domain: Domain, rng: Generator, floor: float) -> ScalarField:
     """Smooth strictly positive random field, floor at the boundary and below."""
     coarse = rng.standard_normal((9, 9))
     smooth = _bilinear_upsample(coarse, domain.node_shape[0])

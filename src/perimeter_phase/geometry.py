@@ -431,10 +431,11 @@ def region_from_dict(data: dict) -> Region:
         return HalfPlane(tuple(data["normal"]), data["offset"])
     if kind == "complement":
         return Complement(region_from_dict(data["inner"]))
-    if kind == "union":
-        return Union(tuple(region_from_dict(p) for p in data["parts"]))
-    if kind == "intersection":
-        return Intersection(tuple(region_from_dict(p) for p in data["parts"]))
+    if kind in ("union", "intersection"):
+        parts = tuple(region_from_dict(p) for p in data["parts"])
+        if not parts:
+            raise DomainError(f"a {kind} needs at least one part")
+        return (Union if kind == "union" else Intersection)(parts)
     if kind == "full_space":
         return FullSpace()
     if kind == "empty_space":

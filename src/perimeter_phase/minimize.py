@@ -17,11 +17,14 @@ operations up to power-of-two rescalings and sign flips, so iterates
 and logs are bitwise those of the plain out-of-place formulas.
 
 harmonic_replacement solves the discrete Laplace equation with the
-field's boundary values by a sparse LU factor of the Laplace matrix,
-kept for the last domain solved on; because the stencil is the exact first
-variation of the discrete Dirichlet sum, the replacement is its unique
-minimizer among fields with those boundary values, and the discrete
-minimum principle keeps it positive when the boundary is.
+field's boundary values.  On intervals and boxes, whose boundary is the
+array edge, discrete sine transforms diagonalise the stencil and solve it
+exactly with numpy's FFT; on balls a sparse LU factor of the Laplace
+matrix is kept for the last ball solved on, and scipy is imported on the
+first ball solve only.  Because the stencil is the exact first variation
+of the discrete Dirichlet sum, the replacement is its unique minimizer
+among fields with those boundary values, and the discrete minimum
+principle keeps it positive when the boundary is.
 
 sharp_oracle_1d returns the closed-form minimizer of the 1D sharp
 functional over single-interface candidates.
@@ -35,8 +38,6 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.linalg import splu
 
 from . import energy as energy_mod
 from . import potential
@@ -166,66 +167,104 @@ def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResul
     )
 
 
-# Holds the system of the last domain solved on, keyed by domain.  A
+# Holds the LU factor of the last ball solved on, keyed by domain.  A
 # factor can hold hundreds of MB (about 260 MB for a ball with n=512), so
 # a new domain replaces the cached one.
 _LAPLACE_CACHE: dict = {}
 _LAPLACE_LOCK = threading.Lock()
 
 
+def _neighbor_sum(values: np.ndarray) -> np.ndarray:
+    """Sum of the 2 * dim grid neighbours at each node of the inner block."""
+    if values.ndim == 1:
+        return values[:-2] + values[2:]
+    total = values[:-2, 1:-1] + values[2:, 1:-1]
+    total += values[1:-1, :-2]
+    total += values[1:-1, 2:]
+    return total
+
+
+def _dst1(values: np.ndarray) -> np.ndarray:
+    """Negated type-I discrete sine transform along the last axis.
+
+    Returns -sum_j x_j sin(pi j k / (m + 1)) for k = 1..m, the imaginary
+    part of the real FFT of [0, x] zero-padded to length 2 (m + 1): the
+    first half of the odd extension [0, x, 0, -reversed(x)].
+    """
+    m = values.shape[-1]
+    padded = np.zeros(values.shape[:-1] + (2 * (m + 1),))
+    padded[..., 1 : m + 1] = values
+    return np.fft.rfft(padded).imag[..., 1 : m + 1]
+
+
+def _spectral_laplace_solve(rhs: np.ndarray) -> np.ndarray:
+    """Solve the 3- or 5-point system A x = rhs on a whole interval or square.
+
+    rhs holds the nodes of the inner block.  The DST-I diagonalises the
+    tridiagonal [-1, 2, -1] of each axis with eigenvalues
+    4 sin^2(pi k / 2 (m + 1)), and applied twice it is (m + 1) / 2 times
+    the identity (Buzbee, Golub & Nielson 1970); the signs of the negated
+    transforms cancel in pairs.
+    """
+    m, dim = rhs.shape[0], rhs.ndim
+    # The eigenvalues, times the ((m + 1) / 2)^dim of the inverse transform.
+    sines = np.sin(np.pi * np.arange(1, m + 1) / (2 * (m + 1)))
+    lam = 4.0 * (0.5 * (m + 1)) ** dim * sines * sines
+    eig = lam if dim == 1 else lam[:, None] + lam[None, :]
+    coef = rhs
+    for _ in range(dim):
+        coef = _dst1(coef).T
+    coef /= eig
+    for _ in range(dim):
+        coef = _dst1(coef).T
+    return coef
+
+
 def _build_laplace_system(domain: Domain):
+    # scipy is imported here, so that it loads on the first ball solve only.
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
     interior = ~domain.boundary_mask
     m = int(interior.sum())
     idx = -np.ones(domain.node_shape, dtype=np.int64)
     idx[interior] = np.arange(m)
     coords = np.argwhere(interior)
-    offsets = ((-1,), (1,)) if domain.dim == 1 else ((-1, 0), (1, 0), (0, -1), (0, 1))
 
-    rows_a = [np.arange(m)]
-    cols_a = [np.arange(m)]
-    vals_a = [np.full(m, 2.0 * domain.dim)]
-    rows_b = []
-    flats_b = []
-    # Interior nodes of the supported domains never sit on the array edge
-    # (edge nodes are flagged boundary), so neighbor indices stay in-grid.
-    for off in offsets:
-        nb = coords + np.asarray(off)
-        j = idx[tuple(nb.T)]
+    rows = [np.arange(m)]
+    cols = [np.arange(m)]
+    vals = [np.full(m, 2.0 * domain.dim)]
+    # Interior nodes never sit on the array edge (edge nodes are flagged
+    # boundary), so neighbor indices stay in-grid.
+    for off in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        j = idx[tuple((coords + np.asarray(off)).T)]
         into_interior = j >= 0
-        rows_a.append(np.arange(m)[into_interior])
-        cols_a.append(j[into_interior])
-        vals_a.append(np.full(int(into_interior.sum()), -1.0))
-        rows_b.append(np.arange(m)[~into_interior])
-        flats_b.append(np.ravel_multi_index(nb[~into_interior].T, domain.node_shape))
+        rows.append(np.arange(m)[into_interior])
+        cols.append(j[into_interior])
+        vals.append(np.full(int(into_interior.sum()), -1.0))
 
     a = csc_matrix(
-        (np.concatenate(vals_a), (np.concatenate(rows_a), np.concatenate(cols_a))),
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(m, m),
-    )
-    rows_b = np.concatenate(rows_b)
-    coupling = csr_matrix(
-        (np.ones(rows_b.size), (rows_b, np.concatenate(flats_b))),
-        shape=(m, interior.size),
     )
     # A is symmetric positive definite, so no pivoting is needed and a
     # symmetric ordering keeps the factor small.
-    factor = splu(
+    return splu(
         a,
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
     )
-    return a, coupling, interior, factor
 
 
 def _laplace_system(domain: Domain):
-    """Cached interior Laplace system of a domain, built once per domain.
+    """Cached sparse LU factor of a ball's interior Laplace matrix.
 
-    Returns (matrix A, boundary coupling B, interior mask, LU factor of
-    A): the interior values of the harmonic extension of node values g
-    solve A x = B @ g.ravel().  Only the last domain's system is kept; it
-    is read and replaced under a lock, so concurrent first calls build the
-    system once.
+    The factor solves A x = b, where A is the 5-point matrix (4 on the
+    diagonal, -1 per interior neighbour) on the interior nodes in C order,
+    and b sums the boundary neighbours of each interior node.  Only the
+    last domain's factor is kept; it is read and replaced under a lock, so
+    concurrent first calls build it once.
     """
     key = domain_cache_key(domain)
     with _LAPLACE_LOCK:
@@ -239,22 +278,31 @@ def _laplace_system(domain: Domain):
 def harmonic_replacement(field: ScalarField) -> ScalarField:
     """Discrete Dirichlet minimizer with the field's boundary values.
 
-    Solves the 3- or 5-point Laplace system on interior nodes with the
-    domain's cached sparse LU factor and checks the residual; the result
-    is the unique minimizer of the discrete Dirichlet sum over fields
-    agreeing with the input on the boundary mask.
+    Solves the 3- or 5-point Laplace system on interior nodes: exactly by
+    discrete sine transforms on intervals and boxes, whose boundary is the
+    array edge, and with the domain's cached sparse LU factor on balls
+    (scipy loads on the first ball solve).  Both paths check the residual
+    of the stencil on the assembled field; the result is the unique
+    minimizer of the discrete Dirichlet sum over fields agreeing with the
+    input on the boundary mask.
     """
     domain = field.domain
-    a, coupling, interior, factor = _laplace_system(domain)
-    values = field.values
-    b = coupling @ values.ravel()
-    solution = factor.solve(b)
-    residual = float(np.linalg.norm(a @ solution - b))
-    if residual > 1e-8 * max(1.0, float(np.linalg.norm(b))):
+    inner = (slice(1, -1),) * domain.dim
+    interior = ~domain.boundary_mask
+    out = field.values.copy()
+    out[interior] = 0.0
+    rhs = _neighbor_sum(out)
+    # Every node on the array edge is boundary, so the interior nodes lie
+    # in the inner block; on intervals and boxes they fill it.
+    free = interior[inner]
+    if domain.kind == "ball":
+        out[inner][free] = _laplace_system(domain).solve(rhs[free])
+    else:
+        out[inner] = _spectral_laplace_solve(rhs)
+    stencil = 2.0 * domain.dim * out[inner] - _neighbor_sum(out)
+    residual = float(np.linalg.norm(stencil[free]))
+    if residual > 1e-8 * max(1.0, float(np.linalg.norm(rhs[free]))):
         raise NumericError(f"Laplace solve residual too large: {residual:.3e}")
-
-    out = values.copy()
-    out[interior] = solution
     return ScalarField(domain, out)
 
 

@@ -500,17 +500,68 @@ def test_null_harmonic_check_n_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "harmonic.json").exists()
 
 
-def test_cli_import_leaves_heavy_scipy_modules_out():
-    # scipy.interpolate pulls in scipy.special and scipy.optimize, which
-    # every CLI run would pay for at startup.
-    heavy = ("scipy.interpolate", "scipy.special", "scipy.optimize")
-    code = (
-        "import sys, perimeter_phase.cli; "
-        f"print([m for m in {heavy!r} if m in sys.modules])"
-    )
+def _run_python(code):
+    """Run code in a fresh interpreter that imports this package; return its stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(pp.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+_SCIPY_LOADED = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+
+
+def test_cli_import_leaves_heavy_scipy_modules_out():
+    # Only a ball's Laplace solve needs scipy; every CLI run would pay for
+    # loading it at startup.
+    assert _run_python(f"import sys, perimeter_phase.cli; print({_SCIPY_LOADED})") == "[]"
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    configs = {
+        "harmonic-check": {"count": 10, "n": 64, "boundary_floor": 0.1},
+        "sweep": {"domain": INTERVAL, "epsilons": [1e-1, 5e-2], "bound_m": 1.0,
+                  "boundary": BOUNDARY, "max_iters": 100},
+        "recovery": {"domain": {"kind": "ball", "radius": 1.0, "n": 64},
+                     "region": {"type": "disc", "center": [0.1, 0.0], "radius": 0.5},
+                     "epsilons": [1e-1]},
+    }
+    runs = []
+    for kind, payload in configs.items():
+        cfg = write_config(tmp_path / f"{kind}.json", payload)
+        runs.append([kind, "--config", cfg, "--out", str(tmp_path / kind), "--quiet"])
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from perimeter_phase import cli\n"
+        f"print([cli.main(argv) for argv in {runs!r}])"
+    )
+    assert _run_python(code) == "[0, 0, 0]"
+
+
+def test_scipy_loads_on_the_first_ball_solve_only():
+    code = (
+        "import sys, numpy as np, perimeter_phase as pp\n"
+        "def solve(domain):\n"
+        "    values = np.random.default_rng(3).normal(size=domain.node_shape)\n"
+        "    return pp.harmonic_replacement(pp.ScalarField(domain, values))\n"
+        "solve(pp.Domain.interval(-1.0, 1.0, 64)); solve(pp.Domain.box(-1.0, 1.0, 64))\n"
+        f"print({_SCIPY_LOADED})\n"
+        "ball = pp.Domain.ball(1.0, 64)\n"
+        "out = solve(ball)\n"
+        "print('scipy.sparse.linalg' in sys.modules, bool(np.all(np.isfinite(out.values))))\n"
+    )
+    assert _run_python(code).splitlines() == ["[]", "True True"]
+
+
+@pytest.mark.parametrize("kind", ["union", "intersection"])
+def test_region_with_no_parts_is_a_config_error(tmp_path, capsys, field_path, kind):
+    payload = {"field": field_path, "epsilon": 1e-2, "region": {"type": kind, "parts": []}}
+    cfg = write_config(tmp_path / "config.json", payload)
+    out = tmp_path / "out"
+    assert main(["energy", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert f"region is not a valid region: a {kind} needs at least one part" in err
+    assert not out.exists() or not any(out.iterdir())

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
@@ -441,7 +441,8 @@ def test_harmonic_replacement_matches_independent_direct_solve(domain):
 
 
 def test_laplace_system_built_once_under_concurrent_first_calls(monkeypatch):
-    dom = pp.Domain.box(-1.0, 1.0, 24)
+    # Only balls use the cached factor; intervals and boxes solve spectrally.
+    dom = pp.Domain.ball(1.0, 24)
     fields = [
         random_positive_field(dom, np.random.Generator(np.random.Philox(seed)), 0.1)
         for seed in range(4)
@@ -503,17 +504,48 @@ def test_laplace_cache_keeps_only_the_last_domain(monkeypatch):
 
 
 def test_harmonic_replacement_residual_guard_fires(monkeypatch):
-    dom = pp.Domain.box(-1.0, 1.0, 16)
-    a, coupling, interior, _ = minimize._laplace_system(dom)
+    dom = pp.Domain.ball(1.0, 16)
     zero_factor = SimpleNamespace(solve=lambda b: np.zeros_like(b))
-    monkeypatch.setitem(
-        minimize._LAPLACE_CACHE,
-        geometry.domain_cache_key(dom),
-        (a, coupling, interior, zero_factor),
-    )
+    monkeypatch.setitem(minimize._LAPLACE_CACHE, geometry.domain_cache_key(dom), zero_factor)
     field = pp.ScalarField(dom, np.ones(dom.node_shape))
     with pytest.raises(NumericError, match="residual"):
         pp.harmonic_replacement(field)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [pp.Domain.interval(-1.0, 1.0, 16), pp.Domain.box(-1.0, 1.0, 16)],
+    ids=["interval", "box"],
+)
+def test_spectral_residual_guard_fires(monkeypatch, domain):
+    monkeypatch.setattr(minimize, "_dst1", lambda values: np.zeros(values.shape))
+    field = pp.ScalarField(domain, np.ones(domain.node_shape))
+    with pytest.raises(NumericError, match="residual"):
+        pp.harmonic_replacement(field)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["interval", "box"]),
+    n=st.integers(2, 200),
+    lo=st.floats(-3.0, 3.0),
+    width=st.floats(0.01, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="interval", n=2, lo=-1.0, width=2.0, seed=0)
+@example(kind="box", n=2, lo=-1.0, width=2.0, seed=1)
+@example(kind="box", n=3, lo=0.5, width=0.25, seed=2)
+@example(kind="box", n=199, lo=-2.0, width=7.0, seed=3)
+@example(kind="box", n=200, lo=1.0, width=0.5, seed=4)
+@example(kind="interval", n=201, lo=-0.5, width=3.0, seed=5)
+def test_spectral_solve_matches_independent_direct_solve(kind, n, lo, width, seed):
+    domain = (pp.Domain.interval if kind == "interval" else pp.Domain.box)(lo, lo + width, n)
+    vals = np.random.default_rng(seed).normal(0.0, 1.0, domain.node_shape)
+    replaced = pp.harmonic_replacement(pp.ScalarField(domain, vals))
+    interior = ~domain.boundary_mask
+    assert np.array_equal(replaced.values[~interior], vals[~interior])
+    expected = _independent_harmonic_interior(domain, vals)
+    np.testing.assert_allclose(replaced.values[interior], expected, rtol=0.0, atol=1e-10)
 
 
 def test_sharp_oracle_closed_forms():
