@@ -256,8 +256,8 @@ _CONVENTION = _Rule(
     _choice(profiles1d.TAIL_SLOPE_THETA, profiles1d.TAIL_SLOPE_SQRT_THETA),
     profiles1d.TAIL_SLOPE_THETA,
 )
-_TOL_GRAD = _Rule(_number(positive=True), 1e-5)
-_MAX_ITERS = _Rule(_integer(0), 200000)
+_TOL_GRAD = _Rule(_number(positive=True), minimize.MinimizeConfig.tol_grad)
+_MAX_ITERS = _Rule(_integer(0), minimize.MinimizeConfig.max_iters)
 
 # Keys are checked in table order.
 _TABLES: Dict[str, Dict[str, _Rule]] = {

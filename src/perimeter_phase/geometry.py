@@ -15,6 +15,7 @@ the two.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -294,8 +295,6 @@ class IntervalUnion(Region):
 
     def signed_distance(self, x, y=None):
         x = np.asarray(x, dtype=float)
-        if not self.intervals:
-            return np.full_like(x, -math.inf)
         best = np.full_like(x, -math.inf)
         for a, b in self.intervals:
             left = x - a if a > -math.inf else np.full_like(x, math.inf)
@@ -371,12 +370,13 @@ class Complement(Region):
 class Union(Region):
     parts: Tuple[Region, ...]
 
+    def __post_init__(self):
+        if not self.parts:
+            raise DomainError("a union needs at least one part")
+
     def signed_distance(self, x, y=None):
-        sds = [np.asarray(p.signed_distance(x, y), dtype=float) for p in self.parts]
-        out = sds[0]
-        for sd in sds[1:]:
-            out = np.maximum(out, sd)
-        return out
+        sds = (np.asarray(p.signed_distance(x, y), dtype=float) for p in self.parts)
+        return functools.reduce(np.maximum, sds)
 
     def to_dict(self) -> dict:
         return {"type": "union", "parts": [p.to_dict() for p in self.parts]}
@@ -386,12 +386,13 @@ class Union(Region):
 class Intersection(Region):
     parts: Tuple[Region, ...]
 
+    def __post_init__(self):
+        if not self.parts:
+            raise DomainError("a intersection needs at least one part")
+
     def signed_distance(self, x, y=None):
-        sds = [np.asarray(p.signed_distance(x, y), dtype=float) for p in self.parts]
-        out = sds[0]
-        for sd in sds[1:]:
-            out = np.minimum(out, sd)
-        return out
+        sds = (np.asarray(p.signed_distance(x, y), dtype=float) for p in self.parts)
+        return functools.reduce(np.minimum, sds)
 
     def to_dict(self) -> dict:
         return {"type": "intersection", "parts": [p.to_dict() for p in self.parts]}
@@ -433,8 +434,6 @@ def region_from_dict(data: dict) -> Region:
         return Complement(region_from_dict(data["inner"]))
     if kind in ("union", "intersection"):
         parts = tuple(region_from_dict(p) for p in data["parts"])
-        if not parts:
-            raise DomainError(f"a {kind} needs at least one part")
         return (Union if kind == "union" else Intersection)(parts)
     if kind == "full_space":
         return FullSpace()

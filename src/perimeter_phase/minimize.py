@@ -19,10 +19,11 @@ and logs are bitwise those of the plain out-of-place formulas.
 harmonic_replacement solves the discrete Laplace equation with the
 field's boundary values.  On intervals and boxes, whose boundary is the
 array edge, discrete sine transforms diagonalise the stencil and solve it
-exactly with numpy's FFT; on balls a sparse LU factor of the Laplace
-matrix is kept for the last ball solved on, and scipy is imported on the
-first ball solve only.  Because the stencil is the exact first variation
-of the discrete Dirichlet sum, the replacement is its unique minimizer
+exactly with numpy's FFT; on balls a sparse LU factor of the 5-point band
+restricted to the interior nodes is kept for the last ball solved on, and
+scipy is imported on the first ball solve only.  The descent and the
+solve share one stencil, _laplacian, the exact first variation of the
+discrete Dirichlet sum, so the replacement is that sum's unique minimizer
 among fields with those boundary values, and the discrete minimum
 principle keeps it positive when the boundary is.
 
@@ -72,6 +73,22 @@ class MinimizeResult:
     converged: bool
 
 
+def _laplacian(values: np.ndarray, out: np.ndarray) -> None:
+    """Write h^2 times the 3- or 5-point Laplacian on the inner block into out.
+
+    The order (a - 2b) + c in 1D and ((a1 + a2) + a3) + a4 - 4b in 2D makes
+    it bitwise the plain neighbour sum where the centre b is +0.0.
+    """
+    if values.ndim == 1:
+        np.subtract(values[:-2], 2.0 * values[1:-1], out)
+        out += values[2:]
+    else:
+        np.add(values[:-2, 1:-1], values[2:, 1:-1], out)
+        out += values[1:-1, :-2]
+        out += values[1:-1, 2:]
+        out -= 4.0 * values[1:-1, 1:-1]
+
+
 def energy_gradient(values: np.ndarray, domain: Domain, epsilon: float) -> np.ndarray:
     """First variation of the discrete energy per unit cell volume.
 
@@ -82,14 +99,7 @@ def energy_gradient(values: np.ndarray, domain: Domain, epsilon: float) -> np.nd
     g = np.empty(values.shape)
     inner = (slice(1, -1),) * domain.dim
     lap = g[inner]
-    if domain.dim == 1:
-        np.subtract(values[:-2], 2.0 * values[1:-1], lap)
-        lap += values[2:]
-    else:
-        np.add(values[:-2, 1:-1], values[2:, 1:-1], lap)
-        lap += values[1:-1, :-2]
-        lap += values[1:-1, 2:]
-        lap -= 4.0 * values[1:-1, 1:-1]
+    _laplacian(values, lap)
     lap /= -0.5 * (domain.h * domain.h)  # -2 * (sum / h^2), bit for bit
     lap += potential.w_prime(values[inner] / math.sqrt(epsilon)) / epsilon**1.5
     np.copyto(g, 0.0, where=domain.boundary_mask)
@@ -174,16 +184,6 @@ _LAPLACE_CACHE: dict = {}
 _LAPLACE_LOCK = threading.Lock()
 
 
-def _neighbor_sum(values: np.ndarray) -> np.ndarray:
-    """Sum of the 2 * dim grid neighbours at each node of the inner block."""
-    if values.ndim == 1:
-        return values[:-2] + values[2:]
-    total = values[:-2, 1:-1] + values[2:, 1:-1]
-    total += values[1:-1, :-2]
-    total += values[1:-1, 2:]
-    return total
-
-
 def _dst1(values: np.ndarray) -> np.ndarray:
     """Negated type-I discrete sine transform along the last axis.
 
@@ -222,35 +222,16 @@ def _spectral_laplace_solve(rhs: np.ndarray) -> np.ndarray:
 
 def _build_laplace_system(domain: Domain):
     # scipy is imported here, so that it loads on the first ball solve only.
-    from scipy.sparse import csc_matrix
+    from scipy.sparse import diags
     from scipy.sparse.linalg import splu
 
-    interior = ~domain.boundary_mask
-    m = int(interior.sum())
-    idx = -np.ones(domain.node_shape, dtype=np.int64)
-    idx[interior] = np.arange(m)
-    coords = np.argwhere(interior)
-
-    rows = [np.arange(m)]
-    cols = [np.arange(m)]
-    vals = [np.full(m, 2.0 * domain.dim)]
-    # Interior nodes never sit on the array edge (edge nodes are flagged
-    # boundary), so neighbor indices stay in-grid.
-    for off in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        j = idx[tuple((coords + np.asarray(off)).T)]
-        into_interior = j >= 0
-        rows.append(np.arange(m)[into_interior])
-        cols.append(j[into_interior])
-        vals.append(np.full(int(into_interior.sum()), -1.0))
-
-    a = csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m),
-    )
+    side = domain.n + 1
+    band = diags([4.0, -1.0, -1.0, -1.0, -1.0], [0, -1, 1, -side, side], (side**2,) * 2)
+    free = np.flatnonzero(~domain.boundary_mask)
     # A is symmetric positive definite, so no pivoting is needed and a
     # symmetric ordering keeps the factor small.
     return splu(
-        a,
+        band.tocsr()[free][:, free].tocsc(),
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
@@ -260,11 +241,13 @@ def _build_laplace_system(domain: Domain):
 def _laplace_system(domain: Domain):
     """Cached sparse LU factor of a ball's interior Laplace matrix.
 
-    The factor solves A x = b, where A is the 5-point matrix (4 on the
-    diagonal, -1 per interior neighbour) on the interior nodes in C order,
-    and b sums the boundary neighbours of each interior node.  Only the
-    last domain's factor is kept; it is read and replaced under a lock, so
-    concurrent first calls build it once.
+    The factor solves A x = b: A is the 5-point band (4 on the diagonal,
+    -1 at offsets +-1 and +-(n + 1)) on the flattened grid, restricted to
+    the interior nodes in C order, which drops the band's wrap-around
+    entries (they join array-edge nodes, all boundary); b is the stencil
+    of the field with its interior zeroed.  Only the last domain's factor
+    is kept; it is read and replaced under a lock, so concurrent first
+    calls build it once.
     """
     key = domain_cache_key(domain)
     with _LAPLACE_LOCK:
@@ -291,17 +274,21 @@ def harmonic_replacement(field: ScalarField) -> ScalarField:
     interior = ~domain.boundary_mask
     out = field.values.copy()
     out[interior] = 0.0
-    rhs = _neighbor_sum(out)
+    # The right-hand side, and after the solve the residual.
+    stencil = np.empty(out[inner].shape)
+    _laplacian(out, stencil)
     # Every node on the array edge is boundary, so the interior nodes lie
     # in the inner block; on intervals and boxes they fill it.
-    free = interior[inner]
     if domain.kind == "ball":
-        out[inner][free] = _laplace_system(domain).solve(rhs[free])
+        free = interior[inner]
+        out[inner][free] = _laplace_system(domain).solve(stencil[free])
     else:
-        out[inner] = _spectral_laplace_solve(rhs)
-    stencil = 2.0 * domain.dim * out[inner] - _neighbor_sum(out)
+        free = ...
+        out[inner] = _spectral_laplace_solve(stencil)
+    rhs_norm = float(np.linalg.norm(stencil[free]))
+    _laplacian(out, stencil)
     residual = float(np.linalg.norm(stencil[free]))
-    if residual > 1e-8 * max(1.0, float(np.linalg.norm(rhs[free]))):
+    if residual > 1e-8 * max(1.0, rhs_norm):
         raise NumericError(f"Laplace solve residual too large: {residual:.3e}")
     return ScalarField(domain, out)
 
@@ -389,8 +376,8 @@ def continuation_sweep(
     left_value: float,
     right_value: float,
     bound_m: float,
-    tol_grad: float = 1e-5,
-    max_iters: int = 200000,
+    tol_grad: float = MinimizeConfig.tol_grad,
+    max_iters: int = MinimizeConfig.max_iters,
 ) -> List[SweepEntry]:
     """Descend at each scale in turn, warm-starting from the previous one.
 

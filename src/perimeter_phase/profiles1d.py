@@ -285,10 +285,6 @@ class SlopedProfile:
         # Odd profile, even derivative.
         return float(out) if out.ndim == 0 else out
 
-    def well_density(self, s):
-        val = self.value(s)
-        return potential.w(np.asarray(val) / math.sqrt(self.epsilon)) / self.epsilon
-
 
 @functools.lru_cache(maxsize=256)
 def sloped_profile(
@@ -317,7 +313,8 @@ class Profile:
     "linear_tail" evaluates a sloped profile with the given theta and
     convention.  halfwidth reports the transition half-width: the
     kappa-band width for the standard kind, the exact band-edge crossing
-    time for the linear-tail kind.
+    time for the linear-tail kind.  well_density(s) is the well term
+    w(value / sqrt(eps)) / eps of the energy density along the profile.
     """
 
     epsilon: float

@@ -267,6 +267,19 @@ def test_interval_union_signed_distance():
         pp.IntervalUnion(((1.0, 0.0),))  # reversed
 
 
+@pytest.mark.parametrize("combination", [pp.Union, pp.Intersection])
+def test_union_and_intersection_need_a_part(combination):
+    with pytest.raises(DomainError, match="needs at least one part"):
+        combination(())
+
+
+def test_empty_interval_union_is_nowhere():
+    reg = pp.IntervalUnion(())
+    assert np.all(reg.signed_distance(np.linspace(-2.0, 2.0, 5)) == -np.inf)
+    assert reg.signed_distance(0.0) == -np.inf
+    assert not pp.rasterize(reg, pp.Domain.interval(-1.0, 1.0, 8)).any()
+
+
 def test_half_plane_normalizes():
     hp = pp.HalfPlane((3.0, 4.0), 1.0)
     assert math.hypot(*hp.normal) == pytest.approx(1.0, rel=1e-15)

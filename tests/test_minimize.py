@@ -440,6 +440,65 @@ def test_harmonic_replacement_matches_independent_direct_solve(domain):
     )
 
 
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    n=st.integers(8, 130),
+    radius=st.floats(0.05, 5.0),
+    cx=st.floats(-3.0, 3.0),
+    cy=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=98, radius=1.0, cx=0.0, cy=0.0, seed=0)
+@example(n=98, radius=0.7, cx=0.3, cy=-0.2, seed=1)
+@example(n=8, radius=1.0, cx=0.0, cy=0.0, seed=2)
+@example(n=130, radius=2.5, cx=-1.0, cy=0.5, seed=3)
+def test_ball_harmonic_replacement_matches_independent_direct_solve(n, radius, cx, cy, seed):
+    domain = pp.Domain.ball(radius, n, center=(cx, cy))
+    vals = np.random.default_rng(seed).normal(0.0, 1.0, domain.node_shape)
+    replaced = pp.harmonic_replacement(pp.ScalarField(domain, vals))
+    interior = ~domain.boundary_mask
+    assert replaced.values[~interior].tobytes() == vals[~interior].tobytes()
+    expected = _independent_harmonic_interior(domain, vals)
+    np.testing.assert_allclose(replaced.values[interior], expected, rtol=0.0, atol=1e-10)
+
+
+def _plain_neighbour_sum(values):
+    if values.ndim == 1:
+        return values[:-2] + values[2:]
+    return ((values[:-2, 1:-1] + values[2:, 1:-1]) + values[1:-1, :-2]) + values[1:-1, 2:]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("negative_zero_share", [0.3, 1.0])
+@pytest.mark.parametrize(
+    "domain",
+    [
+        pp.Domain.interval(-1.0, 1.0, 2),
+        pp.Domain.interval(-1.0, 1.0, 64),
+        pp.Domain.box(-1.0, 1.0, 2),
+        pp.Domain.box(-1.0, 1.0, 33),
+        pp.Domain.ball(1.0, 40, center=(0.2, -0.1)),
+    ],
+    ids=["interval2", "interval64", "box2", "box33", "ball40"],
+)
+def test_laplacian_of_zeroed_interior_is_bitwise_the_neighbour_sum(
+    domain, negative_zero_share, order
+):
+    # The harmonic right-hand side is the stencil of the field with its
+    # interior set to +0.0; it must be the plain neighbour sum, -0.0 included.
+    rng = np.random.default_rng(17)
+    vals = rng.normal(0.0, 1.0, domain.node_shape)
+    vals[rng.random(domain.node_shape) < negative_zero_share] = -0.0
+    interior = ~domain.boundary_mask
+    vals[interior] = 0.0
+    vals = np.asarray(vals, order=order)
+    inner = (slice(1, -1),) * domain.dim
+    out = np.empty(vals[inner].shape)
+    minimize._laplacian(vals, out)
+    free = interior[inner]
+    assert out[free].tobytes() == _plain_neighbour_sum(vals)[free].tobytes()
+
+
 def test_laplace_system_built_once_under_concurrent_first_calls(monkeypatch):
     # Only balls use the cached factor; intervals and boxes solve spectrally.
     dom = pp.Domain.ball(1.0, 24)
