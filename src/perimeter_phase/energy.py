@@ -195,6 +195,7 @@ def _stencil_density(
     aheads,
     h: Optional[float] = None,
     epsilon: Optional[float] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Diffuse energy density of cells given by their stencil values.
 
@@ -203,16 +204,19 @@ def _stencil_density(
     gathered for a subset of cells.  The density is the squared
     forward-difference gradient when h is given, plus the well
     w(anchor / sqrt(eps)) / eps when epsilon is given, each term added
-    in place into the first, in this order.
+    in place into the first, in this order.  The first term is written
+    into out when given; each further term takes a temporary.
     """
     dens = None
     if h is not None:
         for ahead in aheads:
-            grad = (ahead - anchor) / h
+            grad = np.subtract(ahead, anchor, out=out if dens is None else None)
+            grad /= h
             grad *= grad
             dens = grad if dens is None else np.add(dens, grad, out=dens)
     if epsilon is not None:
-        well = potential.w(anchor / math.sqrt(epsilon)) / epsilon
+        well = potential.w(anchor / math.sqrt(epsilon))
+        well = np.divide(well, epsilon, out=out if dens is None else None)
         dens = well if dens is None else np.add(dens, well, out=dens)
     return dens
 

@@ -12,9 +12,16 @@ pinned, and a halving line search from the explicit stability step
 0.9 h^2 / (4 dim) keeps the energy log, one entry per iterate,
 non-increasing.  Stationarity is measured by the sup norm of the
 projected gradient u - clip(u - g, -M, M).  A step works in place in
-one reused trial buffer and keeps the order of the floating-point
-operations up to power-of-two rescalings and sign flips, so iterates
-and logs are bitwise those of the plain out-of-place formulas.
+buffers allocated once per descent, in C order, and keeps the order of
+the floating-point operations up to power-of-two rescalings and sign
+flips, so iterates and logs are bitwise those of the plain out-of-place
+formulas.  The well is evaluated once per iterate: each line-search
+energy pass divides the whole grid by sqrt(eps) once and calls
+potential.w with prime=, which writes w' from the same 1 - t^2, and the
+accepted trial's w' feeds the next energy_gradient call.  The descent
+calls energy_gradient once per iteration and potential.w once per energy
+evaluation, both through their module attributes, so a tracer that
+replaces those attributes counts iterations and line-search trials.
 
 harmonic_replacement solves the discrete Laplace equation with the
 field's boundary values.  On intervals and boxes, whose boundary is the
@@ -77,10 +84,12 @@ def _laplacian(values: np.ndarray, out: np.ndarray) -> None:
     """Write h^2 times the 3- or 5-point Laplacian on the inner block into out.
 
     The order (a - 2b) + c in 1D and ((a1 + a2) + a3) + a4 - 4b in 2D makes
-    it bitwise the plain neighbour sum where the centre b is +0.0.
+    it bitwise the plain neighbour sum where the centre b is +0.0.  out
+    must not overlap values.
     """
     if values.ndim == 1:
-        np.subtract(values[:-2], 2.0 * values[1:-1], out)
+        np.multiply(values[1:-1], 2.0, out)
+        np.subtract(values[:-2], out, out)
         out += values[2:]
     else:
         np.add(values[:-2, 1:-1], values[2:, 1:-1], out)
@@ -89,28 +98,45 @@ def _laplacian(values: np.ndarray, out: np.ndarray) -> None:
         out -= 4.0 * values[1:-1, 1:-1]
 
 
-def energy_gradient(values: np.ndarray, domain: Domain, epsilon: float) -> np.ndarray:
+def energy_gradient(
+    values: np.ndarray,
+    domain: Domain,
+    epsilon: float,
+    out: np.ndarray | None = None,
+    well_prime: np.ndarray | None = None,
+) -> np.ndarray:
     """First variation of the discrete energy per unit cell volume.
 
     Returns -2 * Laplacian(u) + w'(u / sqrt(eps)) / eps^(3/2) at interior
-    nodes and zero on the boundary.  Every node on the edge of the array
-    is a boundary node, so the inner block and the boundary cover g.
+    nodes and zero on the boundary, written into out when given.  Every
+    node on the edge of the array is a boundary node, so the inner block
+    and the boundary cover g.  well_prime, when given, holds
+    w'(u / sqrt(eps)) on the whole grid in place of a w_prime call; its
+    inner block is divided by eps^(3/2) in place.
     """
-    g = np.empty(values.shape)
+    g = np.empty(values.shape) if out is None else out
     inner = (slice(1, -1),) * domain.dim
     lap = g[inner]
     _laplacian(values, lap)
     lap /= -0.5 * (domain.h * domain.h)  # -2 * (sum / h^2), bit for bit
-    lap += potential.w_prime(values[inner] / math.sqrt(epsilon)) / epsilon**1.5
+    if well_prime is None:
+        slope = potential.w_prime(values[inner] / math.sqrt(epsilon))
+    else:
+        slope = well_prime[inner]
+    slope /= epsilon**1.5
+    lap += slope
     np.copyto(g, 0.0, where=domain.boundary_mask)
     return g
 
 
 def _project(values: np.ndarray, bound_m: float, flat, pinned) -> None:
-    """Clip values to [-M, M] in place and write the pinned boundary values."""
+    """Clip values to [-M, M] in place and write the pinned boundary values.
+
+    put indexes the array in C order whatever its memory layout.
+    """
     np.maximum(values, -bound_m, out=values)
     np.minimum(values, bound_m, out=values)
-    values.ravel()[flat] = pinned
+    values.put(flat, pinned)
 
 
 def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResult:
@@ -122,26 +148,39 @@ def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResul
     """
     domain = initial.domain
     epsilon = initial.epsilon
+    root_eps = math.sqrt(epsilon)
     bound_m = config.bound_m
     flat = np.flatnonzero(domain.boundary_mask)
     pinned = initial.values.ravel()[flat]
 
-    u = initial.values.copy()
+    # (u, trial) and (prime_u, prime_trial) swap on acceptance.  trial
+    # holds u - P(u - g), then each trial; prime_u holds w'(u / sqrt(eps)),
+    # written by the energy pass that accepted u.
+    u = initial.values.copy(order="C")
     _project(u, bound_m, flat, pinned)
-    # Holds u - P(u - g), then each trial; swapped with u on acceptance.
-    trial = np.empty_like(u)
+    trial, g, scaled, well, prime_u, prime_trial = (
+        np.empty(u.shape, order="C") for _ in range(6)
+    )
+    dens = np.empty(domain.cell_weights.shape, order="C")
+    well_anchor = energy_mod._cell_stencil(well)[0]
     base_step = 0.9 * domain.h * domain.h / (4.0 * domain.dim)
 
-    def total_energy(vals: np.ndarray) -> float:
-        dens = energy_mod._cell_density(vals, domain.h, epsilon)
-        return float(np.sum(dens * domain.cell_weights))
+    def total_energy(vals: np.ndarray, prime: np.ndarray) -> float:
+        """Energy of vals; writes w'(vals / sqrt(eps)) into prime."""
+        np.divide(vals, root_eps, out=scaled)
+        potential.w(scaled, out=well, prime=prime)
+        anchor, aheads = energy_mod._cell_stencil(vals)
+        energy_mod._stencil_density(anchor, aheads, domain.h, out=dens)
+        np.divide(well_anchor, epsilon, out=well_anchor)
+        np.add(dens, well_anchor, out=dens)
+        return float(np.sum(np.multiply(dens, domain.cell_weights, out=dens)))
 
-    current = total_energy(u)
+    current = total_energy(u, prime_u)
     energies = [current]
     # Each pass measures stationarity at the current iterate, whose index
     # is the number of steps taken; the last pass only measures.
     for iterations in range(config.max_iters + 1):
-        g = energy_gradient(u, domain, epsilon)
+        energy_gradient(u, domain, epsilon, out=g, well_prime=prime_u)
         np.subtract(u, g, trial)
         _project(trial, bound_m, flat, pinned)
         np.subtract(u, trial, trial)
@@ -154,7 +193,7 @@ def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResul
             np.multiply(g, step, trial)
             np.subtract(u, trial, trial)
             _project(trial, bound_m, flat, pinned)
-            trial_energy = total_energy(trial)
+            trial_energy = total_energy(trial, prime_trial)
             if trial_energy <= current:
                 break
             step *= 0.5
@@ -164,6 +203,7 @@ def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResul
                 f"energy at projected-gradient sup {grad_sup:.3e}"
             )
         u, trial = trial, u
+        prime_u, prime_trial = prime_trial, prime_u
         current = trial_energy
         energies.append(current)
 
@@ -403,23 +443,21 @@ def continuation_sweep(
     oracle = sharp_oracle_1d(a_mag, b_mag)
 
     x = domain.nodes_x
-    u0 = _affine_start(x, left_value, right_value)
-    current = PhaseState(ScalarField(domain, u0), eps[0], bound_m)
+    values = _affine_start(x, left_value, right_value)
     entries: List[SweepEntry] = []
     oracle_vals = oracle.value(x)
+    sign_ref = np.where(x >= oracle.interface, 1.0, -1.0)
+    config = MinimizeConfig(bound_m=bound_m, max_iters=max_iters, tol_grad=tol_grad)
     for e in eps:
-        current = PhaseState(ScalarField(domain, current.values.copy()), e, bound_m)
-        result = minimize_e_eps(
-            current,
-            MinimizeConfig(bound_m=bound_m, max_iters=max_iters, tol_grad=tol_grad),
-        )
+        # ScalarField copies values, and the descent copies the field.
+        result = minimize_e_eps(PhaseState(ScalarField(domain, values), e, bound_m), config)
         current = result.state
+        values = current.values
         breakdown = energy_mod.e_eps(current)
         crossings = sign_change_locations(current.field)
         interface = float(crossings[0]) if crossings.size else math.nan
-        l2 = energy_mod.l2_gap(current.values, oracle_vals, domain)
-        phase = potential.h_tilde(current.values / math.sqrt(e))
-        sign_ref = np.where(x >= oracle.interface, 1.0, -1.0)
+        l2 = energy_mod.l2_gap(values, oracle_vals, domain)
+        phase = potential.h_tilde(values / math.sqrt(e))
         phase_l1 = energy_mod.l1_gap(phase, sign_ref, domain)
         entries.append(
             SweepEntry(

@@ -1,7 +1,10 @@
 """Double-well potential and the phase functions built from it.
 
 The well is ``w(t) = (1 - t^2)^2`` inside [-1, 1] and zero outside, so it
-vanishes exactly once the argument saturates.  Two antiderivative-style
+vanishes exactly once the argument saturates.  ``w`` can write into a
+given buffer, and with ``prime=`` it also writes ``w'`` from the same
+``1 - t^2``: the descent reads the well and its slope at an iterate from
+one pass.  ``w_prime`` shares that slope formula.  Two antiderivative-style
 maps come with it:
 
 * ``h``: the signed area ``2 * integral_0^t sqrt(w)``, clamped at the
@@ -35,23 +38,40 @@ def _scalar_or_array(out: np.ndarray, like) -> float | np.ndarray:
     return out
 
 
-def w(t):
-    """Double-well density: (1 - t^2)^2 on [-1, 1], zero outside."""
+def _slope(s: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write w'(t) into out from s = 1 - t^2; out may be s itself.
+
+    -4 * (t * s) is (-4 t) * s bit for bit; s >= 0 is |t| <= 1, not nan.
+    """
+    outside = ~(s >= 0.0)
+    np.multiply(s, t, out=out)
+    out *= -4.0
+    np.copyto(out, 0.0, where=outside)
+    return out
+
+
+def w(t, out=None, prime=None):
+    """Double-well density: (1 - t^2)^2 on [-1, 1], zero outside.
+
+    With out, the well is written there; with prime, w'(t) is written into
+    prime from the same 1 - t^2, so one pass serves both.  Neither buffer
+    may overlap t or the other.
+    """
     t = _as_array(t)
+    s = np.subtract(1.0, np.multiply(t, t, out=out), out=out)
+    if prime is not None:
+        _slope(s, t, prime)
     # Bitwise the piecewise form: t*t > 1 iff |t| > 1; fmax sends nan to 0.
-    s = np.fmax(1.0 - t * t, 0.0)
-    return _scalar_or_array(s * s, t)
+    s = np.fmax(s, 0.0, out=out)
+    return _scalar_or_array(np.multiply(s, s, out=out), t)
 
 
 def w_prime(t):
     """Derivative of ``w``: -4 t (1 - t^2) on [-1, 1], zero outside."""
     t = _as_array(t)
-    # -4 * (t * s) is (-4 t) * s bit for bit; s >= 0 is |t| <= 1, not nan.
-    s = 1.0 - t * t
-    inside = s >= 0.0
-    s *= t
-    s *= -4.0
-    return _scalar_or_array(np.where(inside, s, 0.0), t)
+    s = np.empty(t.shape)
+    np.subtract(1.0, np.multiply(t, t, out=s), out=s)
+    return _scalar_or_array(_slope(s, t, s), t)
 
 
 def h(t):

@@ -68,11 +68,15 @@ def test_well_edge_values_are_bitwise_the_piecewise_form(fn, piecewise):
     t = np.array(_EDGES)
     before = t.copy()
     expected = np.array([piecewise(float(x)) for x in _EDGES])
+    # The shared pass writes the well into out and its slope into prime.
+    out, prime = np.full_like(t, np.nan), np.full_like(t, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         values = fn(t)
         scalars = [fn(float(x)) for x in _EDGES]
+        assert w(t, out=out, prime=prime) is out
     assert t.tobytes() == before.tobytes()
     assert values.tobytes() == expected.tobytes()
+    assert (out if fn is w else prime).tobytes() == expected.tobytes()
     assert all(type(v) is float for v in scalars)
     assert np.array(scalars).tobytes() == expected.tobytes()
 
