@@ -12,6 +12,15 @@ where the ramp lies strictly between the two states; the glued energy
 then exceeds the two restricted energies by at most that amount, and the
 construction verifies the final budget directly.
 
+The ramp is evaluated only on its transition band |x| - r within
+reach = crossing_time + (bound - sqrt(eps))+ / tail_slope + h of r, where
+bound is the largest |value| of the two states.  The profile's tail is
+exactly linear, so past reach the ramp exceeds bound by tail_slope * h:
+no state value lies beyond it, a cell outside the band is never in the
+sandwich, and the composition there equals the one with the ramp at
++/- infinity.  Scan energies and glued values are bitwise those of the
+ramp evaluated everywhere.
+
 Barriers are radial competitors matching a prescribed boundary plateau:
 a tent that rises to M across the span between the interface sphere
 |x| = R and the domain boundary, composed with the standard transition
@@ -180,6 +189,18 @@ def _annulus_stencil(domain: Domain, radial: np.ndarray, spec: AnnulusSpec):
     return domain.cell_weights[cells], nodes, where.reshape(stencil.shape)
 
 
+def _ramp_reach(profile: SlopedProfile, bound: float, h: float) -> float:
+    """Distance from the ramp radius past which |ramp| exceeds bound.
+
+    The profile reaches sqrt(eps) at crossing_time and continues linearly
+    with tail_slope, so a larger bound is reached (bound - sqrt(eps)) /
+    tail_slope later; the extra h puts the ramp a full tail_slope * h
+    past bound, far beyond rounding.
+    """
+    excess = max(bound - math.sqrt(profile.epsilon), 0.0)
+    return profile.crossing_time + excess / profile.tail_slope + h
+
+
 def _glue_stage(
     inner_vals: np.ndarray,
     outer_vals: np.ndarray,
@@ -192,31 +213,67 @@ def _glue_stage(
 ) -> Tuple[np.ndarray, GlueStage]:
     """One ramp composition across the annulus of spec.
 
-    Each candidate radius is scored by the ramp energy over the cells
+    Each candidate radius r is scored by the ramp energy over the cells
     whose anchor lies in the open annulus and whose anchor ramp value lies
-    strictly between the two states; only those cells' stencil nodes are
-    evaluated.  The ramp at the chosen radius is applied on the full grid.
+    strictly between the two states.  With bound the largest |value| of
+    the two states, |ramp| exceeds bound wherever ||x| - r| >= reach
+    (``_ramp_reach``), so only cells whose anchor lies within reach of r
+    can be in the sandwich; every other cell adds (finite density) *
+    weight * False, an exact +0.0.  The annulus cells are sorted by
+    anchor radius and their stencil nodes by radius once, so a
+    candidate's band is a slice of the cells, and the nodes their
+    stencils touch a slice of the nodes.  The band's products are
+    scattered into a zeroed per-cell buffer in the original cell order,
+    whose sum is bitwise the annulus-wide one.
+
+    The ramp at the chosen radius r* is evaluated within reach of r* only
+    and set to +/- infinity (its sign beyond the band) elsewhere: there
+    the true ramp lies beyond every state value, so min(outer, max(inner,
+    ramp)) picks the same state value either way.
     """
     if direction == "rising":
         lo_v, hi_v = inner_vals, outer_vals
     else:
         lo_v, hi_v = outer_vals, inner_vals
+    bound = max(float(np.max(np.abs(inner_vals))), float(np.max(np.abs(outer_vals))))
+    reach = _ramp_reach(profile, bound, domain.h)
+    flat_radial = radial.ravel()
     weights, nodes, where = _annulus_stencil(domain, radial, spec)
+    node_order = np.argsort(flat_radial[nodes])
+    node_radii = flat_radial[nodes[node_order]]
+    position = np.empty_like(node_order)
+    position[node_order] = np.arange(len(nodes))
     anchor_nodes = nodes[where[0]]
+    cell_order = np.argsort(flat_radial[anchor_nodes])
+    anchor_nodes = anchor_nodes[cell_order]
+    anchor_radii = flat_radial[anchor_nodes]
+    where = position[where[:, cell_order]]
+    weights = weights[cell_order]
     lo_a, hi_a = lo_v.ravel()[anchor_nodes], hi_v.ravel()[anchor_nodes]
-    radial_nodes = radial.ravel()[nodes]
     radii = np.linspace(
         spec.rho + spec.delta / 8.0, spec.rho + spec.delta / 4.0, _SCAN_CANDIDATES
     )
-    energies = np.empty(len(radii))
+    energies = np.zeros(len(radii))
+    contrib = np.zeros(len(anchor_nodes))
     for i, r in enumerate(radii):
-        ramp = _ramp_values(radial_nodes, profile, float(r), direction)[where]
+        c0, c1 = np.searchsorted(anchor_radii, (r - reach, r + reach))
+        if c0 == c1:
+            continue
+        band = where[:, c0:c1]
+        n0 = band.min()
+        ramp = _ramp_values(node_radii[n0 : band.max() + 1], profile, float(r), direction)
+        ramp = ramp[band - n0]
         dens = energy_mod._stencil_density(ramp[0], ramp[1:], domain.h, epsilon)
-        sandwich = (lo_a < ramp[0]) & (ramp[0] < hi_a)
-        energies[i] = float(np.sum(dens * weights * sandwich))
+        sandwich = (lo_a[c0:c1] < ramp[0]) & (ramp[0] < hi_a[c0:c1])
+        contrib.fill(0.0)
+        contrib[cell_order[c0:c1]] = dens * weights[c0:c1] * sandwich
+        energies[i] = float(np.sum(contrib))
     best = int(np.argmin(energies))
     r_star = float(radii[best])
-    ramp = _ramp_values(radial, profile, r_star, direction)
+    far = np.inf if direction == "rising" else -np.inf
+    ramp = np.where(radial > r_star, far, -far)
+    near = np.abs(radial - r_star) < reach
+    ramp[near] = _ramp_values(radial[near], profile, r_star, direction)
     if direction == "rising":
         out = np.minimum(outer_vals, np.maximum(inner_vals, ramp))
     else:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import perimeter_phase as pp
+from perimeter_phase import interpolation
 from perimeter_phase.errors import (
     BudgetExceededError,
     DomainError,
@@ -322,3 +323,142 @@ def test_barrier_rejects_bad_radius():
         pp.build_barrier(dom, interface_radius=1.5, bound_m=1.0, epsilon=1e-3)
     with pytest.raises(DomainError):
         pp.build_barrier(dom, interface_radius=0.0, bound_m=1.0, epsilon=1e-3)
+
+
+def annulus_wide_stage(inner_vals, outer_vals, radial, domain, epsilon, spec, direction, profile):
+    """One glue stage as scanned before band limiting: every candidate
+    evaluates the ramp on every stencil node of the annulus cells, and the
+    chosen ramp is evaluated on the whole grid."""
+    lo_v, hi_v = (inner_vals, outer_vals) if direction == "rising" else (outer_vals, inner_vals)
+    weights, nodes, where = interpolation._annulus_stencil(domain, radial, spec)
+    anchor_nodes = nodes[where[0]]
+    lo_a, hi_a = lo_v.ravel()[anchor_nodes], hi_v.ravel()[anchor_nodes]
+    radii = np.linspace(spec.rho + spec.delta / 8.0, spec.rho + spec.delta / 4.0, 32)
+    energies = np.empty(len(radii))
+    for i, r in enumerate(radii):
+        s = radial.ravel()[nodes] - r if direction == "rising" else r - radial.ravel()[nodes]
+        ramp = profile.value(s)[where]
+        dens = pp.energy._stencil_density(ramp[0], ramp[1:], domain.h, epsilon)
+        sandwich = (lo_a < ramp[0]) & (ramp[0] < hi_a)
+        energies[i] = float(np.sum(dens * weights * sandwich))
+    r_star = float(radii[int(np.argmin(energies))])
+    ramp = profile.value(radial - r_star if direction == "rising" else r_star - radial)
+    if direction == "rising":
+        out = np.minimum(outer_vals, np.maximum(inner_vals, ramp))
+    else:
+        out = np.maximum(outer_vals, np.minimum(inner_vals, ramp))
+    return out, energies, r_star
+
+
+def full_grid_glue(inner, outer, spec):
+    """The glued values and (scan energies, r_star) per stage, with the
+    stages chosen and chained as ``glue`` does."""
+    domain, eps = inner.domain, inner.epsilon
+    u, v = outer.values, inner.values
+    radial = interpolation._radial_nodes(domain)
+    if np.all(u >= v):
+        profile = pp.sloped_profile(eps, spec.theta)
+        out, energies, r_star = annulus_wide_stage(
+            v, u, radial, domain, eps, spec, "rising", profile
+        )
+        return out, [(energies, r_star)]
+    half = spec.delta / 2.0
+    spec_outer = pp.AnnulusSpec(spec.rho + half, half, spec.bound_m)
+    spec_inner = pp.AnnulusSpec(spec.rho, half, spec.bound_m)
+    profile = pp.sloped_profile(eps, spec_outer.theta)
+    w1, e1, r1 = annulus_wide_stage(
+        np.minimum(u, v), u, radial, domain, eps, spec_outer, "rising", profile
+    )
+    out, e2, r2 = annulus_wide_stage(
+        v, w1, radial, domain, eps, spec_inner, "falling", profile
+    )
+    return out, [(e1, r1), (e2, r2)]
+
+
+def _disc_states(n, eps, radius, centres):
+    dom = pp.Domain.ball(1.0, n)
+    zeros = np.zeros(dom.node_shape)
+    discs = [pp.Disc(c, radius) for c in centres]
+    pairs = [pp.SharpPair(pp.ScalarField(dom, zeros.copy()), region=d) for d in discs]
+    return [pp.build_recovery(pair, eps)[0] for pair in pairs]
+
+
+def _profile_states(dom, eps, inner_vals, outer_vals, bound_m=1.0):
+    return [
+        pp.PhaseState(pp.ScalarField(dom, vals), eps, bound_m) for vals in (inner_vals, outer_vals)
+    ]
+
+
+def _band_case(name):
+    eps = 1e-2
+    if name in ("ordered_ball", "ordered_ball_n16"):
+        dom = pp.Domain.ball(1.0, 16 if name.endswith("n16") else 128)
+        r = radial(dom)
+        u = pp.transition_profile(eps, 0.7 - r)
+        return _profile_states(dom, eps, pp.transition_profile(eps, 0.65 - r), u)
+    if name == "two_stage_ball":
+        dom = pp.Domain.ball(1.0, 128)
+        x, y = dom.nodes_x, dom.nodes_y
+        return _profile_states(
+            dom,
+            eps,
+            pp.transition_profile(eps, 0.65 - np.hypot(x + 0.1, y)),
+            pp.transition_profile(eps, 0.65 - np.hypot(x - 0.1, y)),
+        )
+    if name == "interval":
+        dom = pp.Domain.interval(-1.0, 1.0, 1024)
+        v = pp.transition_profile(eps, 0.7 - radial(dom))
+        return _profile_states(dom, eps, v, np.ones(dom.node_shape))
+    if name == "constant_pm_ball":
+        dom = pp.Domain.ball(1.0, 128)
+        return _profile_states(dom, eps, -np.ones(dom.node_shape), np.ones(dom.node_shape))
+    if name == "constant_pm_interval":
+        # h below the candidate spacing delta / 248: a cell can leave the
+        # band between two candidates while still in the sandwich
+        dom = pp.Domain.interval(-1.0, 1.0, 8192)
+        two = 2.0 * np.ones(dom.node_shape)
+        return _profile_states(dom, eps, -two, two, 2.0)
+    if name == "empty_annulus_interval":
+        # no anchor node lies in 0.6 < |x| < 0.8, so no band has a cell
+        dom = pp.Domain.interval(-1.0, 1.0, 4)
+        return _profile_states(dom, eps, -np.ones(dom.node_shape), np.ones(dom.node_shape))
+    if name == "saturated":
+        dom = pp.Domain.ball(1.0, 128)
+        sat = -math.sqrt(eps) * np.ones(dom.node_shape)
+        return _profile_states(dom, eps, sat, sat.copy())
+    if name == "discs_0.7":
+        return _disc_states(128, eps, 0.7, [(0.1, 0.0), (0.0, 0.0)])
+    if name == "discs_0.7_swapped":
+        return _disc_states(128, eps, 0.7, [(0.0, 0.0), (0.1, 0.0)])
+    raise ValueError(name)
+
+
+# Whether each stage's scan has a nonzero energy, per case: the saturated
+# states of the construct2d benchmark have an empty sandwich at every radius.
+_BAND_CASES = {
+    "ordered_ball": [True],
+    "ordered_ball_n16": [True],
+    "two_stage_ball": [True, True],
+    "interval": [True],
+    "constant_pm_ball": [True],
+    "constant_pm_interval": [True],
+    "empty_annulus_interval": [False],
+    "saturated": [False],
+    "discs_0.7": [True, False],
+    "discs_0.7_swapped": [True, True],
+}
+
+
+@pytest.mark.parametrize("name", list(_BAND_CASES))
+def test_glue_band_limited_equals_full_grid_bitwise(name):
+    inner, outer = _band_case(name)
+    spec = pp.AnnulusSpec(0.6, 0.2, inner.bound_m)
+    out, report = pp.glue(inner, outer, spec, budget=1e6)
+    ref_out, ref_stages = full_grid_glue(inner, outer, spec)
+    assert [bool(np.max(e) > 0.0) for e, _ in ref_stages] == _BAND_CASES[name]
+    assert len(report.stages) == len(ref_stages)
+    for stage, (energies, r_star) in zip(report.stages, ref_stages):
+        assert np.array_equal(stage.scan_energies, energies)
+        assert stage.r_star == r_star
+    assert report.r_star == ref_stages[-1][1]
+    assert np.array_equal(out.values, ref_out)
