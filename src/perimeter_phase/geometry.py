@@ -248,12 +248,6 @@ class Region:
     def signed_distance(self, x, y=None):
         raise NotImplementedError
 
-    def contains(self, x, y=None):
-        return np.asarray(self.signed_distance(x, y)) >= 0.0
-
-    def complement(self) -> "Region":
-        return Complement(self)
-
     def to_dict(self) -> dict:
         raise NotImplementedError
 

@@ -1,23 +1,14 @@
-"""One-dimensional transition profiles.
+"""One-dimensional transition profiles, both in closed form.
 
-Two profile families are provided:
-
-* the standard transition ``sqrt(eps) * tanh(s / eps)``, which connects the
-  two wells across an O(eps) layer and satisfies the first-order reduction
-  ``slope = sqrt(w(value / sqrt(eps)) / eps)`` exactly;
-* sloped profiles that leave the well band at a finite time and continue
-  linearly, obtained by integrating the augmented first-order equation
-  ``slope = sqrt(w(value / sqrt(eps)) / eps + c)`` with a constant ``c``
-  controlled by the requested tail slope.
-
-Sloped profiles are integrated once per parameter set with a fixed-step
-RK4 scheme plus bisection event detection at the band edge, then cached;
-evaluation uses the cubic Hermite interpolant of the integrated values
-and slopes inside the transition and the exact linear tail outside.  The
-interpolant is plain numpy, built and evaluated the way scipy's
-``CubicHermiteSpline`` and ``PPoly`` do (same coefficients, intervals and
-power sums), so values and derivatives match scipy bit for bit without
-importing ``scipy.interpolate``.
+* The standard transition ``sqrt(eps) * tanh(s / eps)`` connects the two
+  wells across an O(eps) layer and solves the first-order reduction
+  ``slope = sqrt(w(value / sqrt(eps)) / eps)``.
+* Sloped profiles solve ``slope = sqrt(w(value / sqrt(eps)) / eps + c)``,
+  with ``c`` set by the requested tail slope: they reach the band edge
+  sqrt(eps) at a finite crossing time and continue exactly linearly.  The
+  equation separates into an elliptic integral of the first kind, so the
+  profile is a Jacobi amplitude and its crossing time a Carlson R_F; see
+  :class:`SlopedProfile`.
 """
 
 from __future__ import annotations
@@ -29,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import potential
-from .errors import DomainError, NumericError
+from .errors import DomainError
 
 # Conventions for the constant added under the square root of the
 # first-order equation.  "tail_slope_theta" adds theta**2, so the profile
@@ -38,9 +29,6 @@ from .errors import DomainError, NumericError
 TAIL_SLOPE_THETA = "tail_slope_theta"
 TAIL_SLOPE_SQRT_THETA = "tail_slope_sqrt_theta"
 _CONVENTIONS = (TAIL_SLOPE_THETA, TAIL_SLOPE_SQRT_THETA)
-
-_RK4_STEPS_PER_WIDTH = 64
-_EVENT_BISECTIONS = 60
 
 
 def _check_epsilon(epsilon: float) -> float:
@@ -122,127 +110,44 @@ def tail_well_sup(epsilon: float, t_lo: float, big_l: float) -> float:
     return float(_stable_sech(t_lo / epsilon) ** 4 / epsilon)
 
 
-def _added_constant(theta: float, convention: str) -> float:
-    if convention == TAIL_SLOPE_THETA:
-        return theta * theta
-    if convention == TAIL_SLOPE_SQRT_THETA:
-        return theta
-    raise DomainError(
-        f"unknown slope convention {convention!r}, expected one of {_CONVENTIONS}"
-    )
+def _carlson_rf(x: float, y: float, z: float) -> float:
+    """Carlson's R_F(x, y, z) with at most one argument zero.
 
-
-@functools.lru_cache(maxsize=256)
-def _integrate_sloped(epsilon: float, theta: float, convention: str):
-    """Integrate the augmented first-order equation up to the band edge.
-
-    Returns (nodes, values, slopes, crossing_time).  The final node sits
-    exactly at value sqrt(eps) with the exact tail slope.  Arrays are
-    cached per parameter set; callers must not mutate them.
+    Duplication, then the fifth-order series (Carlson 1995, Numer.
+    Algorithms 10:13-26), stopped for a relative error of 2^-53.
     """
-    c = _added_constant(theta, convention)
-    root_eps = math.sqrt(epsilon)
-    tail_slope = math.sqrt(c)
-
-    def rhs(value: float) -> float:
-        return math.sqrt(potential.w(value / root_eps) / epsilon + c)
-
-    def rk4_step(value: float, ds: float) -> float:
-        k1 = rhs(value)
-        k2 = rhs(value + 0.5 * ds * k1)
-        k3 = rhs(value + 0.5 * ds * k2)
-        k4 = rhs(value + ds * k3)
-        return value + ds * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-
-    ds = epsilon / _RK4_STEPS_PER_WIDTH
-    # The slope never drops below sqrt(c), so the crossing happens by
-    # sqrt(eps) / sqrt(c); pad the step budget a little beyond that.
-    max_steps = int(math.ceil(root_eps / tail_slope / ds)) + 8
-
-    nodes = [0.0]
-    values = [0.0]
-    slopes = [rhs(0.0)]
-    t = 0.0
-    val = 0.0
-    crossed = False
-    for _ in range(max_steps):
-        nxt = rk4_step(val, ds)
-        if nxt >= root_eps:
-            crossed = True
-            break
-        t += ds
-        val = nxt
-        nodes.append(t)
-        values.append(val)
-        slopes.append(rhs(val))
-    if not crossed:
-        raise NumericError(
-            "sloped profile failed to reach the band edge within "
-            f"{max_steps} RK4 steps (epsilon={epsilon}, theta={theta})"
-        )
-
-    # Bisection on the fractional last step to land exactly on sqrt(eps).
-    lo, hi = 0.0, ds
-    for _ in range(_EVENT_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if rk4_step(val, mid) < root_eps:
-            lo = mid
-        else:
-            hi = mid
-    crossing_time = t + hi
-
-    nodes.append(crossing_time)
-    values.append(root_eps)
-    slopes.append(tail_slope)
-
-    nodes = np.array(nodes)
-    values = np.array(values)
-    slopes = np.array(slopes)
-    if not np.all(np.diff(values) > 0.0) or not np.all(np.diff(nodes) > 0.0):
-        raise NumericError(
-            "sloped profile integration lost monotonicity "
-            f"(epsilon={epsilon}, theta={theta}, convention={convention})"
-        )
-    return nodes, values, slopes, float(crossing_time)
-
-
-def _hermite_coefficients(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> np.ndarray:
-    """Power coefficients of the cubic Hermite interpolant, highest first.
-
-    Row k of the (4, intervals) result multiplies (s - x[i])**(3 - k) on
-    interval i, computed in the order scipy's CubicHermiteSpline uses.
-    """
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-    return np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
-
-
-def _evaluate_piecewise(x: np.ndarray, coeffs: np.ndarray, points: np.ndarray):
-    """Evaluate a piecewise polynomial at points the way scipy's PPoly does.
-
-    Interval i holds x[i] <= point < x[i + 1]; the last interval is
-    closed and points outside [x[0], x[-1]] extrapolate the end pieces.
-    The power sum runs from the constant term up, with s**k built by
-    repeated multiplication.
-    """
-    i = np.clip(np.searchsorted(x, points, side="right") - 1, 0, len(x) - 2)
-    s = points - x[i]
-    out = coeffs[-1][i]
-    power = 1.0
-    for c in coeffs[-2::-1]:
-        power = power * s
-        out = out + c[i] * power
-    return out
+    mean = (x + y + z) / 3.0
+    dx, dy = mean - x, mean - y
+    limit = (3.0 * 2.0**-53) ** (-1.0 / 6.0) * max(abs(dx), abs(dy), abs(mean - z))
+    while limit >= abs(mean):
+        rx, ry, rz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = rx * ry + ry * rz + rz * rx
+        x, y, z, mean = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0, (mean + lam) / 4.0
+        limit, dx, dy = limit / 4.0, dx / 4.0, dy / 4.0
+    dx, dy = dx / mean, dy / mean
+    e2 = dx * dy - (dx + dy) ** 2
+    e3 = -dx * dy * (dx + dy)
+    series = 1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
+    return series / math.sqrt(mean)
 
 
 @dataclass(frozen=True)
 class SlopedProfile:
-    """Odd increasing profile with an exact linear tail.
+    """Odd increasing profile with an exact linear tail, in closed form.
 
-    Inside |s| <= crossing_time the value follows the integrated
-    transition; outside it continues as sign(s) * (sqrt(eps) +
-    tail_slope * (|s| - crossing_time)).
+    With t = value / sqrt(eps) and k = c * eps the equation reads eps dt/ds
+    = sqrt((1 - t^2)^2 + k), a quartic with complex roots, so s(t) = eps /
+    (2a) F(2 arctan(t / a) | m) with r = sqrt(1 + k), a = sqrt(r) and m =
+    (1 + 1/r) / 2 (Byrd & Friedman 1971).  Inside |s| < crossing_time = s(1)
+    = eps R_F(q^2, q, 1) / (1 + r), q = k / (1 + r)^2 (Carlson 1995), the
+    value is sign(s) sqrt(eps) a tan(am(2a |s| / eps | m) / 2); outside it
+    is sign(s) (sqrt(eps) + tail_slope (|s| - crossing_time)).  The
+    amplitude is the AGM backward recurrence (Abramowitz & Stegun 16.4.3)
+    from a_0 = 1 and b_0 = sqrt(1 - m), 1 - m = k / (2r (1 + r)) formed from
+    k (as a difference it would lose a small k), with its arcsine written
+    atan2(c_n sin phi, hypot(b_n, c_n cos phi)) by a_n^2 = b_n^2 + c_n^2,
+    which stays accurate as m -> 1.  The derivative is the first integral
+    sqrt(w(value / sqrt(eps)) / eps + c) inside and tail_slope outside.
     """
 
     epsilon: float
@@ -251,38 +156,65 @@ class SlopedProfile:
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
-        if not (self.theta > 0):
-            raise DomainError(f"theta must be positive, got {self.theta}")
-        nodes, values, slopes, t_star = _integrate_sloped(
-            self.epsilon, self.theta, self.convention
-        )
-        coeffs = _hermite_coefficients(nodes, values, slopes)
-        object.__setattr__(self, "_knots", nodes)
-        object.__setattr__(self, "_coeffs", coeffs)
-        # The derivative's coefficients, formed as scipy's PPoly.derivative does.
-        slope_coeffs = coeffs[:-1] * np.array([[3.0], [2.0], [1.0]])
-        object.__setattr__(self, "_slope_coeffs", slope_coeffs)
-        object.__setattr__(self, "crossing_time", t_star)
-        object.__setattr__(self, "tail_slope", math.sqrt(_added_constant(self.theta, self.convention)))
+        if self.convention not in _CONVENTIONS:
+            raise DomainError(
+                f"unknown slope convention {self.convention!r}, expected one of {_CONVENTIONS}"
+            )
+        added = self.theta * self.theta if self.convention == TAIL_SLOPE_THETA else self.theta
+        k = added * self.epsilon if self.theta > 0 else 0.0
+        r = math.sqrt(1.0 + k)
+        q = k / (1.0 + r) ** 2
+        # q > 0 keeps R_F finite and the mean below convergent: with
+        # 1 - m = 0 the chain never closes.
+        if not (q > 0.0 and math.isfinite(k)):
+            raise DomainError(
+                "sloped profiles need theta > 0 with 0 < c * eps < inf, got theta="
+                f"{self.theta}, c * eps = {added * self.epsilon} ({self.convention})"
+            )
+        # The AGM chain as (b_n, c_n); its last a_N scales the top phase.
+        mean, b, levels = 1.0, math.sqrt(k / r / (2.0 * (1.0 + r))), []
+        while True:
+            mean, b, c_n = 0.5 * (mean + b), math.sqrt(mean * b), 0.5 * (mean - b)
+            levels.append((b, c_n))
+            if c_n <= 2.0**-53 * mean:
+                break
+        scale = math.sqrt(r)
+        phase = 2.0 ** len(levels) * mean * 2.0 * scale / self.epsilon
+        crossing_time = self.epsilon * _carlson_rf(q * q, q, 1.0) / (1.0 + r)
+        object.__setattr__(self, "crossing_time", crossing_time)
+        object.__setattr__(self, "tail_slope", math.sqrt(added))
+        object.__setattr__(self, "_added", added)
+        object.__setattr__(self, "_levels", tuple(reversed(levels)))
+        object.__setattr__(self, "_phase", phase)
+        object.__setattr__(self, "_scale", scale)
+
+    def _reduced(self, dist: np.ndarray) -> np.ndarray:
+        """value / sqrt(eps) at 0 <= dist < crossing_time, capped at the 1 that
+        rounding can overshoot there, so the core never exceeds the tail."""
+        phi = self._phase * dist
+        for b, c_n in self._levels:
+            arcsin = np.arctan2(c_n * np.sin(phi), np.hypot(b, c_n * np.cos(phi)))
+            phi = 0.5 * (phi + arcsin)
+        return np.minimum(self._scale * np.tan(0.5 * phi), 1.0)
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
-        a = np.abs(s)
-        inner = _evaluate_piecewise(
-            self._knots, self._coeffs, np.minimum(a, self.crossing_time)
-        )
-        tail = math.sqrt(self.epsilon) + self.tail_slope * (a - self.crossing_time)
-        out = np.sign(s) * np.where(a <= self.crossing_time, inner, tail)
+        dist = np.abs(s).reshape(-1)
+        out = math.sqrt(self.epsilon) + self.tail_slope * (dist - self.crossing_time)
+        core = dist < self.crossing_time
+        out[core] = math.sqrt(self.epsilon) * self._reduced(dist[core])
+        out = np.sign(s) * out.reshape(s.shape)
         return float(out) if out.ndim == 0 else out
 
     def derivative(self, s):
         s = np.asarray(s, dtype=float)
-        a = np.abs(s)
-        inner = _evaluate_piecewise(
-            self._knots, self._slope_coeffs, np.minimum(a, self.crossing_time)
-        )
-        out = np.where(a <= self.crossing_time, inner, self.tail_slope)
+        dist = np.abs(s).reshape(-1)
+        out = np.full(dist.shape, self.tail_slope)
+        core = dist < self.crossing_time
+        well = potential.w(self._reduced(dist[core]))
+        out[core] = np.sqrt(well / self.epsilon + self._added)
         # Odd profile, even derivative.
+        out = out.reshape(s.shape)
         return float(out) if out.ndim == 0 else out
 
 

@@ -181,6 +181,50 @@ def test_profile_run_writes_lossless_table(tmp_path):
         assert d_val == pp.transition_profile_derivative(1e-2, s_val)
 
 
+def read_profile_table(tmp):
+    rows = (tmp / "profile.csv").read_text().splitlines()[1:]
+    return np.array([[float(t) for t in row.split(",")] for row in rows]).T
+
+
+def test_profile_linear_tail_table(tmp_path):
+    # s_max = 2^-4 and count = 1025 make the grid exactly symmetric.
+    payload = {"epsilon": 1e-2, "profile_kind": "linear_tail", "theta": 160.0,
+               "s_max": 0.0625, "count": 1025}
+    assert run(tmp_path, "profile", payload) == 0
+    s, value, deriv, _ = read_profile_table(tmp_path)
+    assert np.array_equal(s, -s[::-1])
+    assert np.array_equal(value, -value[::-1])
+    assert np.all(np.diff(value) > 0.0)
+    tail = np.abs(s) > pp.sloped_crossing_time(1e-2, 160.0)
+    assert 0 < np.count_nonzero(tail) < len(s)
+    assert np.all(deriv[tail] == 160.0)
+
+
+def test_profile_tiny_sqrt_theta_is_solved(tmp_path):
+    # c * eps = 1e-302: the profile is tanh to double precision and its
+    # crossing time is about 174.9 eps.
+    payload = {"epsilon": 1e-2, "profile_kind": "linear_tail", "theta": 1e-300,
+               "convention": "tail_slope_sqrt_theta", "s_max": 2.0, "count": 2001}
+    assert run(tmp_path, "profile", payload) == 0
+    s, value, deriv, _ = read_profile_table(tmp_path)
+    assert np.all(np.diff(value) >= 0.0)
+    assert np.max(np.abs(value)) == 0.1
+    assert np.all(deriv >= 1e-150)
+    assert np.max(np.abs(value - pp.transition_profile(1e-2, s))) <= 2e-16
+
+
+@pytest.mark.parametrize(
+    "theta, tag",
+    [(1e-200, "error[domain]"), (float("inf"), "error[config]")],  # 1e-200^2 underflows
+)
+def test_profile_theta_without_a_profile_exits_one(tmp_path, capsys, theta, tag):
+    payload = {"epsilon": 1e-2, "profile_kind": "linear_tail", "theta": theta,
+               "s_max": 1.0, "count": 11}
+    assert run(tmp_path, "profile", payload) == 1
+    assert tag in capsys.readouterr().err
+    assert not (tmp_path / "profile.csv").exists()
+
+
 def test_oracle1d_run(tmp_path):
     code = run(tmp_path, "oracle1d", {"a": 1.0, "b": 3.0})
     assert code == 0

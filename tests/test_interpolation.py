@@ -117,6 +117,12 @@ def test_glue_infeasible_under_sqrt_convention():
             convention=pp.TAIL_SLOPE_SQRT_THETA,
         )
     assert err.value.delta_min == pytest.approx(3.5146651, abs=1e-4)
+    # The reported width is the bisection's feasible end, tight to 1e-6.
+    delta_min = err.value.delta_min
+    assert interpolation._feasible_saturation(eps, delta_min, 1.0, pp.TAIL_SLOPE_SQRT_THETA)
+    assert not interpolation._feasible_saturation(
+        eps, (1.0 - 1e-6) * delta_min, 1.0, pp.TAIL_SLOPE_SQRT_THETA
+    )
 
 
 def test_glue_two_stage_for_unordered_states():

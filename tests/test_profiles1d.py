@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import perimeter_phase as pp
-from perimeter_phase.errors import DomainError, NumericError
+from perimeter_phase.errors import DomainError
 
 
 def rk4_profile(epsilon: float, s_max: float, n_steps: int) -> tuple:
@@ -181,29 +181,156 @@ def test_sloped_profile_cached():
     )
 
 
-@pytest.mark.parametrize("convention", [pp.TAIL_SLOPE_THETA, pp.TAIL_SLOPE_SQRT_THETA])
-@pytest.mark.parametrize("epsilon, theta", [(1e-2, 80.0), (1e-2, 160.0), (1e-3, 4.0)])
-def test_sloped_profile_matches_scipy_hermite_bitwise(epsilon, theta, convention):
-    # The core is scipy's CubicHermiteSpline of the integrated knots,
-    # evaluated without importing scipy.interpolate into the package.
-    from scipy.interpolate import CubicHermiteSpline
+THETA, SQRT_THETA = pp.TAIL_SLOPE_THETA, pp.TAIL_SLOPE_SQRT_THETA
+# (epsilon, theta, convention) with k = c * eps between 1e-3 and 1e4.
+SLOPED_CASES = [
+    (1e-2, 80.0, THETA), (1e-2, 160.0, THETA), (1e-3, 4.0, THETA),
+    (1e-1, 0.1, THETA), (1e-4, 1e4, THETA),
+    (1e-2, 80.0, SQRT_THETA), (1e-2, 160.0, SQRT_THETA), (1e-3, 4.0, SQRT_THETA),
+    (1e-2, 0.1, SQRT_THETA), (1e-4, 1e4, SQRT_THETA),
+]
 
-    from perimeter_phase.profiles1d import _integrate_sloped
 
-    knots, values, slopes, t_star = _integrate_sloped(epsilon, theta, convention)
-    spline = CubicHermiteSpline(knots, values, slopes)
+def sloped_k(epsilon, theta, convention):
+    """k = c * eps, the one parameter of the reduced equation."""
+    return (theta * theta if convention == THETA else theta) * epsilon
+
+
+def theta_for_k(k, epsilon, convention):
+    return math.sqrt(k / epsilon) if convention == THETA else k / epsilon
+
+
+@pytest.mark.parametrize("epsilon, theta, convention", SLOPED_CASES)
+def test_sloped_profile_matches_scipy_special(epsilon, theta, convention):
+    # s(t) = eps / (2a) F(2 arctan(t / a) | m) with a = (1 + k)^(1/4) and
+    # m = (1 + 1 / sqrt(1 + k)) / 2, so value = sqrt(eps) a tan(am / 2).
+    # The bounds are twice scipy's own drift against 40-digit mpmath at
+    # k = 1e-3 (ellipj 1.7e-15 * sqrt(eps), ellipkinc 1.9e-14 relative);
+    # the profile itself was within 2.6e-16 of mpmath at every k here.
+    from scipy.special import ellipj, ellipkinc
+
+    k = sloped_k(epsilon, theta, convention)
+    assert k >= 1e-3
+    r = math.sqrt(1.0 + k)
+    a, m = math.sqrt(r), 0.5 * (1.0 + 1.0 / r)
     prof = pp.sloped_profile(epsilon, theta, convention)
-    assert prof.crossing_time == t_star
-    s = np.concatenate(
-        [knots, [0.0, t_star], np.linspace(0.0, t_star, 300_001),
-         np.random.default_rng(0).uniform(0.0, t_star, 10_000)]
+    crossing = epsilon / (2.0 * a) * ellipkinc(2.0 * math.atan(1.0 / a), m)
+    assert prof.crossing_time == pytest.approx(crossing, rel=4e-14, abs=0.0)
+    s = np.linspace(0.0, prof.crossing_time, 100_001)
+    ref = math.sqrt(epsilon) * a * np.tan(0.5 * ellipj(2.0 * a * s / epsilon, m)[3])
+    assert np.max(np.abs(prof.value(s) - ref)) <= 4e-15 * math.sqrt(epsilon)
+    assert np.max(np.abs(prof.value(-s) + ref)) <= 4e-15 * math.sqrt(epsilon)
+
+
+@pytest.mark.parametrize("convention", [THETA, SQRT_THETA])
+@pytest.mark.parametrize("k", [1e-4, 1e-8, 1e-14, 1e-302])
+def test_sloped_profile_matches_quadrature_for_small_k(k, convention):
+    # scipy's ellipkinc drifts as m -> 1 (6e-4 relative at k = 1e-14), so
+    # the references are quadratures of s(t) = eps * int_0^t dt / sqrt((1 -
+    # t^2)^2 + k).  Up to t = 1 the substitution t = 1 - (sqrt(k)/2) sinh(y)
+    # makes the integrand smooth (it tends to 1/2 where 1 - t << 1); short
+    # of t = 1 the plain integrand is bounded.  Measured: crossing times
+    # within 5.3e-16 relative, values within 4.2e-16 * sqrt(eps).
+    from scipy.integrate import quad
+
+    epsilon = 1e-2
+    prof = pp.sloped_profile(epsilon, theta_for_k(k, epsilon, convention), convention)
+    k = sloped_k(prof.epsilon, prof.theta, convention)
+    half = math.sqrt(k) / 2.0
+
+    def smooth(y):
+        x = half * math.sinh(y)
+        return half * math.cosh(y) / math.sqrt((x * (2.0 - x)) ** 2 + k)
+
+    crossing = epsilon * quad(smooth, 0.0, math.asinh(1.0 / half), epsabs=0.0, epsrel=1e-13)[0]
+    assert prof.crossing_time == pytest.approx(crossing, rel=2e-15, abs=0.0)
+    t = np.linspace(0.0, 1.0, 41)[:-1]
+    s = np.array([
+        epsilon * quad(lambda x: 1.0 / math.sqrt((1.0 - x * x) ** 2 + k), 0.0, ti,
+                       epsabs=0.0, epsrel=1e-13)[0]
+        for ti in t
+    ])
+    assert np.max(np.abs(prof.value(s) - math.sqrt(epsilon) * t)) <= 1e-15 * math.sqrt(epsilon)
+    assert np.max(np.abs(prof.value(-s) + math.sqrt(epsilon) * t)) <= 1e-15 * math.sqrt(epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-4])
+def test_tiny_theta_sloped_profile_is_the_standard_profile(epsilon):
+    # theta = 1e-300 under the sqrt convention: k = 1e-300 * eps, so the
+    # equation is the standard one to double precision, the crossing time is
+    # eps * ln(8 / sqrt(k)) / 2 up to O(k ln k), and the tail slope is 1e-150.
+    # Measured: 5.6e-16 * sqrt(eps) from tanh, 4.6e-16 from the asymptote.
+    prof = pp.sloped_profile(epsilon, 1e-300, SQRT_THETA)
+    k = 1e-300 * epsilon
+    assert prof.crossing_time == pytest.approx(
+        0.5 * epsilon * math.log(8.0 / math.sqrt(k)), rel=1e-15, abs=0.0
     )
-    assert np.array_equal(prof.value(s), spline(s))
-    assert np.array_equal(prof.value(-s), -spline(s))
-    assert np.array_equal(prof.derivative(s), spline.derivative()(s))
-    assert np.array_equal(prof.derivative(-s), spline.derivative()(s))
-    assert prof.value(t_star) == spline(t_star)
-    assert prof.derivative(0.0) == spline.derivative()(0.0)
+    s = np.linspace(-prof.crossing_time, prof.crossing_time, 20_001)
+    v = prof.value(s)
+    root = math.sqrt(epsilon)
+    assert np.max(np.abs(v - pp.transition_profile(epsilon, s))) <= 1.2e-15 * root
+    assert np.all(np.diff(v) >= 0.0)
+    assert np.max(np.abs(v)) == root
+    d = prof.derivative(s)
+    assert np.all(d >= prof.tail_slope)
+    assert np.max(np.abs(d - pp.transition_profile_derivative(epsilon, s))) <= 2e-15 / root
+
+
+@pytest.mark.parametrize("epsilon, theta, convention", SLOPED_CASES)
+def test_sloped_derivative_matches_central_difference(epsilon, theta, convention):
+    # The derivative is the first integral sqrt(w / eps + c); checking it
+    # against the value's central difference keeps the two tied.  With h =
+    # 1e-5 * crossing_time the measured relative gap is at most 7.1e-10.
+    prof = pp.sloped_profile(epsilon, theta, convention)
+    h = 1e-5 * prof.crossing_time
+    s = np.linspace(-prof.crossing_time + 2 * h, prof.crossing_time - 2 * h, 2001)
+    diff = (prof.value(s + h) - prof.value(s - h)) / (2.0 * h)
+    d = prof.derivative(s)
+    assert np.max(np.abs(diff - d) / d) <= 3e-9
+    outside = np.array([1.0, 1.5, 4.0]) * prof.crossing_time
+    assert np.all(prof.derivative(outside) == prof.tail_slope)
+    assert np.all(prof.derivative(-outside) == prof.tail_slope)
+
+
+@pytest.mark.parametrize("convention", [THETA, SQRT_THETA])
+def test_sloped_profile_scalar_and_shaped_inputs(convention):
+    prof = pp.sloped_profile(1e-2, 8.0, convention)
+    for s in (0.0, 0.3 * prof.crossing_time, prof.crossing_time, -2.0 * prof.crossing_time):
+        for x in (s, np.float64(s), np.asarray(s)):
+            assert type(prof.value(x)) is float
+            assert type(prof.derivative(x)) is float
+    assert prof.value(prof.crossing_time) == math.sqrt(1e-2)
+    grid = np.linspace(-0.1, 0.1, 12).reshape(3, 4)
+    assert prof.value(grid).shape == (3, 4)
+    assert np.array_equal(prof.value(grid).ravel(), prof.value(grid.ravel()))
+    assert np.array_equal(prof.derivative(grid).ravel(), prof.derivative(grid.ravel()))
+
+
+def test_sloped_profile_core_never_exceeds_the_band_edge():
+    # Just inside the crossing time rounding put the core up to 3 ulps
+    # above sqrt(eps) for about one profile in seven; capped, the value
+    # never steps down onto the tail.
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        epsilon, theta = 10.0 ** rng.uniform(-5, 0), 10.0 ** rng.uniform(-3, 5)
+        prof = pp.sloped_profile(epsilon, theta, (THETA, SQRT_THETA)[rng.integers(2)])
+        below = np.nextafter(prof.crossing_time, 0.0) * (1.0 - 2.0**-52 * np.arange(20))
+        assert np.max(prof.value(below)) <= prof.value(prof.crossing_time) == math.sqrt(epsilon)
+
+
+@pytest.mark.parametrize(
+    "theta, convention",
+    [
+        (math.inf, THETA), (math.inf, SQRT_THETA), (math.nan, THETA),
+        (-1.0, SQRT_THETA),
+        (1e-200, THETA),  # theta^2 underflows to 0
+        (1e200, THETA),  # theta^2 overflows
+        (1e-323, SQRT_THETA),  # c * eps underflows to 0
+    ],
+)
+def test_sloped_profile_rejects_theta_without_a_profile(theta, convention):
+    with pytest.raises(DomainError):
+        pp.sloped_profile(1e-2, theta, convention)
 
 
 def test_sloped_profile_rejects_bad_parameters():
