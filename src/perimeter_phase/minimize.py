@@ -40,6 +40,7 @@ functional over single-interface candidates.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -237,6 +238,18 @@ def _dst1(values: np.ndarray) -> np.ndarray:
     return np.fft.rfft(padded).imag[..., 1 : m + 1]
 
 
+# Keeps the eigenvalues of the four most recently used (m, dim) grids.
+# They are read-only, so the pool's workers share them.
+@functools.lru_cache(maxsize=4)
+def _stencil_eigenvalues(m: int, dim: int) -> np.ndarray:
+    """Eigenvalues of the stencil, times the ((m + 1) / 2)^dim of the inverse transform."""
+    sines = np.sin(np.pi * np.arange(1, m + 1) / (2 * (m + 1)))
+    lam = 4.0 * (0.5 * (m + 1)) ** dim * sines * sines
+    eig = lam if dim == 1 else lam[:, None] + lam[None, :]
+    eig.flags.writeable = False
+    return eig
+
+
 def _spectral_laplace_solve(rhs: np.ndarray) -> np.ndarray:
     """Solve the 3- or 5-point system A x = rhs on a whole interval or square.
 
@@ -244,13 +257,13 @@ def _spectral_laplace_solve(rhs: np.ndarray) -> np.ndarray:
     tridiagonal [-1, 2, -1] of each axis with eigenvalues
     4 sin^2(pi k / 2 (m + 1)), and applied twice it is (m + 1) / 2 times
     the identity (Buzbee, Golub & Nielson 1970); the signs of the negated
-    transforms cancel in pairs.
+    transforms cancel in pairs.  The eigenvalues depend on the grid only,
+    so they come from a read-only cache keyed by (m, dim) that keeps the
+    four most recently used grids; a solve costs its 2 dim transforms and
+    one division.
     """
     m, dim = rhs.shape[0], rhs.ndim
-    # The eigenvalues, times the ((m + 1) / 2)^dim of the inverse transform.
-    sines = np.sin(np.pi * np.arange(1, m + 1) / (2 * (m + 1)))
-    lam = 4.0 * (0.5 * (m + 1)) ** dim * sines * sines
-    eig = lam if dim == 1 else lam[:, None] + lam[None, :]
+    eig = _stencil_eigenvalues(m, dim)
     coef = rhs
     for _ in range(dim):
         coef = _dst1(coef).T
