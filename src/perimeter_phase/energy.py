@@ -163,11 +163,11 @@ class PhaseMeasure:
 
 
 def _cell_weights(domain: Domain, fraction: Optional[np.ndarray]) -> np.ndarray:
-    """Cell weights, times a subdomain's cell fractions when given."""
-    w = domain.cell_weights
-    if fraction is not None:
-        w = w * fraction
-    return w
+    """Cell weights, times a subdomain's cell fractions when given; the
+    product overwrites the fractions."""
+    if fraction is None:
+        return domain.cell_weights
+    return np.multiply(fraction, domain.cell_weights, out=fraction)
 
 
 def _subdomain_fraction(domain: Domain, subdomain: Optional[Region]):
@@ -205,19 +205,24 @@ def _stencil_density(
     forward-difference gradient when h is given, plus the well
     w(anchor / sqrt(eps)) / eps when epsilon is given, each term added
     in place into the first, in this order.  The first term is written
-    into out when given; each further term takes a temporary.
+    into out, or a new C-ordered array; the further terms share one
+    scratch array.
     """
-    dens = None
-    if h is not None:
-        for ahead in aheads:
-            grad = np.subtract(ahead, anchor, out=out if dens is None else None)
-            grad /= h
-            grad *= grad
-            dens = grad if dens is None else np.add(dens, grad, out=dens)
-    if epsilon is not None:
-        well = potential.w(anchor / math.sqrt(epsilon))
-        well = np.divide(well, epsilon, out=out if dens is None else None)
-        dens = well if dens is None else np.add(dens, well, out=dens)
+    dens = np.empty(anchor.shape) if out is None else out
+    # One entry per term: the forward neighbour of each axis, None for the well.
+    terms = (list(aheads) if h is not None else []) + ([None] if epsilon is not None else [])
+    scratch = np.empty(anchor.shape) if len(terms) > 1 else None
+    for i, ahead in enumerate(terms):
+        term = scratch if i else dens
+        if ahead is None:
+            potential.w(np.divide(anchor, math.sqrt(epsilon), out=term), out=term)
+            term /= epsilon
+        else:
+            np.subtract(ahead, anchor, out=term)
+            term /= h
+            term *= term
+        if i:
+            dens += term
     return dens
 
 
@@ -233,11 +238,17 @@ def _cell_density(
     return _stencil_density(anchor, aheads, h, epsilon)
 
 
+def _weighted_sum(values: np.ndarray, weights: np.ndarray, h=None, epsilon=None) -> float:
+    """Sum of a node array's cell density times the weights, formed in place."""
+    dens = _cell_density(values, h, epsilon)
+    return float(np.sum(np.multiply(dens, weights, out=dens)))
+
+
 def dirichlet_energy(field: ScalarField, subdomain: Optional[Region] = None) -> float:
     """Sum of |forward-difference gradient|^2 times cell weights."""
     domain = field.domain
     weights = _cell_weights(domain, _subdomain_fraction(domain, subdomain))
-    return float(np.sum(_cell_density(field.values, h=domain.h) * weights))
+    return _weighted_sum(field.values, weights, h=domain.h)
 
 
 def well_energy(
@@ -248,7 +259,7 @@ def well_energy(
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     domain = field.domain
     weights = _cell_weights(domain, _subdomain_fraction(domain, subdomain))
-    return float(np.sum(_cell_density(field.values, epsilon=epsilon) * weights))
+    return _weighted_sum(field.values, weights, epsilon=epsilon)
 
 
 def e_eps(state: PhaseState, subdomain: Optional[Region] = None) -> EnergyBreakdown:
@@ -259,8 +270,8 @@ def e_eps(state: PhaseState, subdomain: Optional[Region] = None) -> EnergyBreakd
     """
     domain = state.domain
     weights = _cell_weights(domain, _subdomain_fraction(domain, subdomain))
-    d = float(np.sum(_cell_density(state.values, h=domain.h) * weights))
-    w = float(np.sum(_cell_density(state.values, epsilon=state.epsilon) * weights))
+    d = _weighted_sum(state.values, weights, h=domain.h)
+    w = _weighted_sum(state.values, weights, epsilon=state.epsilon)
     return EnergyBreakdown(dirichlet=d, well=w, perimeter_weighted=0.0, total=d + w)
 
 
@@ -272,12 +283,11 @@ def sharp_energy(pair: SharpPair, subdomain: Optional[Region] = None) -> EnergyB
             "perimeter restricted to a subdomain is only supported for mask pairs"
         )
     fraction = _subdomain_fraction(domain, subdomain)
-    weights = _cell_weights(domain, fraction)
-    d = float(np.sum(_cell_density(pair.field.values, h=domain.h) * weights))
     if pair.region is not None:
         per = geometry.exact_perimeter(pair.region, domain)
     else:
         per = _mask_interface_length(pair.mask, domain, fraction)
+    d = _weighted_sum(pair.field.values, _cell_weights(domain, fraction), h=domain.h)
     weighted = potential.C0 * per
     return EnergyBreakdown(
         dirichlet=d, well=0.0, perimeter_weighted=weighted, total=d + weighted
@@ -302,11 +312,11 @@ def tv_phase(state: PhaseState) -> float:
     interface content of a state is tv_phase / 2 in multiples of the
     grid's facet area.
     """
-    p = potential.h_tilde(state.values / math.sqrt(state.epsilon))
-    diffs = _forward_differences(p)
+    p = np.divide(state.values, math.sqrt(state.epsilon))
+    diffs = _forward_differences(potential.h_tilde(p, out=p))
     if len(diffs) == 1:
-        return float(np.sum(np.abs(diffs[0])))
-    return float(np.sum(np.hypot(*diffs)) * state.domain.h)
+        return float(np.sum(np.abs(diffs[0], out=diffs[0])))
+    return float(np.sum(np.hypot(*diffs, out=diffs[0])) * state.domain.h)
 
 
 def modica_mortola_split(state: PhaseState) -> MMSplit:
@@ -319,11 +329,13 @@ def modica_mortola_split(state: PhaseState) -> MMSplit:
     defect from the chain-rule inequality on cells.
     """
     lhs = e_eps(state).total
-    root_eps = math.sqrt(state.epsilon)
-    vals = state.values
-    excess = np.sign(vals) * np.maximum(np.abs(vals) - root_eps, 0.0)
-    excess_d = dirichlet_energy(ScalarField(state.domain, excess))
     tv = tv_phase(state)
+    vals = state.values
+    excess = np.abs(vals)
+    excess -= math.sqrt(state.epsilon)
+    np.maximum(excess, 0.0, out=excess)
+    excess *= np.sign(vals)
+    excess_d = _weighted_sum(excess, state.domain.cell_weights, h=state.domain.h)
     rhs = 0.5 * potential.C0 * tv + excess_d
     return MMSplit(lhs=lhs, rhs=rhs, tv_term=tv, excess_dirichlet=excess_d)
 
@@ -355,11 +367,14 @@ def phase_band_measure(state: PhaseState) -> float:
 
 def l2_gap(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
     """Node-weight L2 distance between two node arrays."""
-    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return float(math.sqrt(np.sum(domain.node_weights * diff * diff)))
+    diff = np.subtract(a, b, dtype=float, order="C")
+    terms = np.multiply(domain.node_weights, diff)
+    return float(math.sqrt(np.sum(np.multiply(terms, diff, out=terms))))
 
 
-def l1_gap(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
-    """Node-weight L1 distance between two node arrays."""
-    diff = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-    return float(np.sum(domain.node_weights * diff))
+def l1_gap(a: np.ndarray, b: np.ndarray, domain: Domain, out=None) -> float:
+    """Node-weight L1 distance between two node arrays; the weighted
+    difference is formed in out when given, which may be a or b."""
+    diff = np.subtract(a, b, out=out, dtype=float, order="C")
+    np.abs(diff, out=diff)
+    return float(np.sum(np.multiply(domain.node_weights, diff, out=diff)))

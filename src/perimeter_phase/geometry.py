@@ -29,8 +29,9 @@ _DOMAIN_KINDS = ("interval", "box", "ball")
 
 # Holds the grid arrays of the last domain built, keyed by its parameters.
 # A pipeline builds the same grid many times (every field file read back
-# carries its domain), and a ball grid with n=512 holds about 13 MB, so
-# a new domain replaces the cached grid.
+# carries its domain), and a ball grid with n=512 holds about 4.5 MB (its
+# node and cell coordinates are zero-stride views of the axes), so a new
+# domain replaces the cached grid.
 _GRID_CACHE: dict = {}
 _GRID_LOCK = threading.Lock()
 
@@ -53,7 +54,9 @@ class Domain:
     Equal domains share their grid arrays (axes, nodes, cell centres,
     cell and node weights, boundary mask), and these arrays are
     read-only: writing into one raises ValueError, so copy an array
-    before changing it.
+    before changing it.  In 2D the node and cell coordinates are
+    full-shape zero-stride views of the axes and of their midpoints;
+    ``.copy()`` gives a full array.
     """
 
     kind: str
@@ -181,9 +184,10 @@ def _build_grid(domain: Domain) -> dict:
         measure = domain.hi - domain.lo
     else:
         node_shape = (n + 1, n + 1)
-        nodes_x, nodes_y = np.meshgrid(xs, ys, indexing="ij")
-        cell_x = 0.5 * (nodes_x[:-1, :-1] + nodes_x[1:, :-1])
-        cell_y = 0.5 * (nodes_y[:-1, :-1] + nodes_y[:-1, 1:])
+        nodes_x = np.broadcast_to(xs[:, None], node_shape)
+        nodes_y = np.broadcast_to(ys, node_shape)
+        cell_x = np.broadcast_to(0.5 * (xs[:-1] + xs[1:])[:, None], (n, n))
+        cell_y = np.broadcast_to(0.5 * (ys[:-1] + ys[1:]), (n, n))
         # The array edge is boundary for a ball too: rounding can put an
         # edge node where the circle touches the edge a few ulp inside it.
         boundary = np.zeros(node_shape, dtype=bool)
@@ -234,12 +238,10 @@ def region_cell_fraction(region: "Region", domain: Domain) -> np.ndarray:
     boundary is a grid line, within O(h) of the true fraction otherwise.
     """
     sd = np.asarray(region.signed_distance(domain.cell_x, domain.cell_y), dtype=float)
-    with np.errstate(invalid="ignore"):
-        frac = np.clip(0.5 + sd / domain.h, 0.0, 1.0)
-    # +/- inf signed distances (full / empty space) clip cleanly.
-    frac = np.where(sd == np.inf, 1.0, frac)
-    frac = np.where(sd == -np.inf, 0.0, frac)
-    return frac
+    frac = np.divide(sd, domain.h)
+    frac += 0.5
+    # +/- inf signed distances (full / empty space) clip to 1 and 0.
+    return np.clip(frac, 0.0, 1.0, out=frac)
 
 
 class Region:

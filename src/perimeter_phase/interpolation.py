@@ -110,7 +110,7 @@ def _radial_nodes(domain: Domain) -> np.ndarray:
     if domain.dim == 1:
         return np.abs(domain.nodes_x)
     cx, cy = domain.center if domain.kind == "ball" else (0.0, 0.0)
-    return np.hypot(domain.nodes_x - cx, domain.nodes_y - cy)
+    return np.hypot(domain.axis_x[:, None] - cx, domain.axis_y - cy)
 
 
 def _ball_region(domain: Domain, radius: float) -> Region:
@@ -271,13 +271,15 @@ def _glue_stage(
     best = int(np.argmin(energies))
     r_star = float(radii[best])
     far = np.inf if direction == "rising" else -np.inf
-    ramp = np.where(radial > r_star, far, -far)
-    near = np.abs(radial - r_star) < reach
+    ramp = np.subtract(radial, r_star)
+    near = np.abs(ramp, out=ramp) < reach
+    ramp.fill(-far)
+    ramp[radial > r_star] = far
     ramp[near] = _ramp_values(radial[near], profile, r_star, direction)
     if direction == "rising":
-        out = np.minimum(outer_vals, np.maximum(inner_vals, ramp))
+        out = np.minimum(outer_vals, np.maximum(inner_vals, ramp, out=ramp), out=ramp)
     else:
-        out = np.maximum(outer_vals, np.minimum(inner_vals, ramp))
+        out = np.maximum(outer_vals, np.minimum(inner_vals, ramp, out=ramp), out=ramp)
     stage = GlueStage(
         direction=direction,
         r_star=r_star,
@@ -345,21 +347,22 @@ def glue(
         )
         stages.append(stage)
     else:
-        m = np.minimum(u, v)
         half = spec.delta / 2.0
         spec_outer = AnnulusSpec(spec.rho + half, half, spec.bound_m)
         spec_inner = AnnulusSpec(spec.rho, half, spec.bound_m)
         prof_half = sloped_profile(epsilon, spec_outer.theta, convention)
-        w1, stage1 = _glue_stage(
-            m, u, radial, domain, epsilon, spec_outer, "rising", prof_half
+        out_vals, stage1 = _glue_stage(
+            np.minimum(u, v), u, radial, domain, epsilon, spec_outer, "rising", prof_half
         )
         out_vals, stage2 = _glue_stage(
-            v, w1, radial, domain, epsilon, spec_inner, "falling", prof_half
+            v, out_vals, radial, domain, epsilon, spec_inner, "falling", prof_half
         )
         stages.extend([stage1, stage2])
 
     inner_zone = radial <= spec.rho
     outer_zone = radial >= spec.outer_radius
+    ring = ~(inner_zone | outer_zone)  # the open annulus
+    del radial
     if not np.array_equal(out_vals[inner_zone], v[inner_zone]) or not np.array_equal(
         out_vals[outer_zone], u[outer_zone]
     ):
@@ -368,6 +371,7 @@ def glue(
     out_state = PhaseState(
         field=ScalarField(domain, out_vals), epsilon=epsilon, bound_m=spec.bound_m
     )
+    out_vals = out_state.values  # the state holds a copy; free the composition
     total = energy_mod.e_eps(out_state)
     inner_ball = _ball_region(domain, spec.rho)
     parts = (
@@ -383,14 +387,19 @@ def glue(
         )
 
     annulus_energy = sum(s.annulus_energy for s in stages)
-    outside = radial > spec.rho
-    weights = domain.node_weights * outside
-    diff = out_vals - u
-    l2_out = float(math.sqrt(np.sum(weights * diff * diff)))
-    phase_diff = potential.h_tilde(out_vals / math.sqrt(epsilon)) - potential.h_tilde(
-        u / math.sqrt(epsilon)
-    )
-    l1_out = float(np.sum(weights * np.abs(phase_diff)))
+    # Node-weight gaps to u on |x| > rho.  Past rho + delta the glued field
+    # is bitwise u, so each term off the open annulus is an exact +0.0: the
+    # sums over a zeroed grid holding the annulus terms are the full ones.
+    weights = domain.node_weights[ring]
+    glued, outer = out_vals[ring], u[ring]
+    diff = glued - outer
+    terms = np.zeros(domain.node_shape)
+    terms[ring] = weights * diff * diff
+    l2_out = float(math.sqrt(np.sum(terms)))
+    root_eps = math.sqrt(epsilon)
+    phase_diff = potential.h_tilde(glued / root_eps) - potential.h_tilde(outer / root_eps)
+    terms[ring] = weights * np.abs(phase_diff)
+    l1_out = float(np.sum(terms))
     report = GlueReport(
         r_star=stages[-1].r_star,
         annulus_energy=annulus_energy,
@@ -525,21 +534,22 @@ def build_barrier(
     if not (epsilon > 0):
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     rad = _barrier_geometry(domain, interface_radius)
-    radial = _radial_nodes(domain)
-    s = interface_radius - radial
     slope = 2.0 * bound_m / (rad - interface_radius)
-    t_band = transition_halfwidth(epsilon, kappa)
-    shift = slope * t_band
-
-    tent = np.clip(slope * s, -bound_m, bound_m)
-    vals = splice_profile(s, transition_profile(epsilon, s), tent - shift, tent + shift)
-
+    shift = slope * transition_halfwidth(epsilon, kappa)
+    s = _radial_nodes(domain)
+    np.subtract(interface_radius, s, out=s)
+    pos = s >= 0.0
+    vals = transition_profile(epsilon, s)
+    tent = np.clip(np.multiply(s, slope, out=s), -bound_m, bound_m, out=s)
+    splice_profile(pos, vals, tent, shift, -shift)
+    del s, tent
     sup = float(np.max(np.abs(vals)))
     state = PhaseState(
         field=ScalarField(domain, vals),
         epsilon=epsilon,
         bound_m=max(bound_m, sup),
     )
+    del vals  # the state holds a copy
     breakdown = energy_mod.e_eps(state)
 
     if domain.dim == 1:

@@ -55,7 +55,8 @@ def w(t, out=None, prime=None):
 
     With out, the well is written there; with prime, w'(t) is written into
     prime from the same 1 - t^2, so one pass serves both.  Neither buffer
-    may overlap t or the other.
+    may overlap the other, and prime may not overlap t; without prime,
+    out may be t itself.
     """
     t = _as_array(t)
     s = np.subtract(1.0, np.multiply(t, t, out=out), out=out)
@@ -85,15 +86,18 @@ def h(t):
     return _scalar_or_array(out, t)
 
 
-def h_tilde(t):
+def h_tilde(t, out=None):
     """``h`` rescaled by its saturation value, mapping [-1, 1] onto [-1, 1].
 
-    Closed form t * (3 - t^2) / 2 inside the well, clamped outside.
+    Closed form t * (3 - t^2) / 2 inside the well, clamped outside.  With
+    out, which may be t itself, the result is written there.
     """
     t = _as_array(t)
-    tc = np.clip(t, -1.0, 1.0)
-    out = 0.5 * tc * (3.0 - tc * tc)
-    return _scalar_or_array(out, t)
+    tc = np.clip(t, -1.0, 1.0, out=np.empty(t.shape) if out is None else out)
+    factor = np.multiply(tc, tc, out=np.empty_like(tc))
+    tc *= 0.5
+    tc *= np.subtract(3.0, factor, out=factor)
+    return _scalar_or_array(tc, t)
 
 
 def h_tilde_inverse(y):

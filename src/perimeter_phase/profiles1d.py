@@ -52,23 +52,24 @@ def transition_profile(epsilon, s):
     """
     epsilon = _check_epsilon(epsilon)
     s = np.asarray(s, dtype=float)
-    out = np.sqrt(epsilon) * np.tanh(s / epsilon)
+    out = np.divide(s, epsilon, out=np.empty(s.shape))
+    out = np.multiply(np.tanh(out, out=out), np.sqrt(epsilon), out=out)
     return float(out) if out.ndim == 0 else out
 
 
-def splice_profile(s, prof, upper, lower) -> np.ndarray:
+def splice_profile(pos, prof, base, upper_shift, lower_shift) -> np.ndarray:
     """The transition profile inside its band, the shifted values outside.
 
-    max(prof, max(upper, 0)) where s >= 0 and min(prof, min(lower, 0))
-    where s < 0, for prof = transition_profile(epsilon, s): with upper <= 0
-    on the positive half of the band and lower >= 0 on its negative half,
-    the band carries the profile alone.
+    Writes into prof, for prof = transition_profile(epsilon, s) and pos =
+    (s >= 0), max(prof, max(base - upper_shift, 0)) where pos holds and
+    min(prof, min(base - lower_shift, 0)) elsewhere: with the first shifted
+    value <= 0 on the positive half of the band and the second >= 0 on its
+    negative half, the band carries the profile alone.
     """
-    return np.where(
-        s >= 0.0,
-        np.maximum(prof, np.maximum(upper, 0.0)),
-        np.minimum(prof, np.minimum(lower, 0.0)),
-    )
+    side = np.subtract(base, upper_shift)
+    np.maximum(prof, np.maximum(side, 0.0, out=side), out=prof, where=pos)
+    np.subtract(base, lower_shift, out=side)
+    return np.minimum(prof, np.minimum(side, 0.0, out=side), out=prof, where=~pos)
 
 
 def transition_profile_derivative(epsilon, s):

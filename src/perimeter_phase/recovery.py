@@ -61,35 +61,29 @@ def build_recovery(
     t_band = transition_halfwidth(epsilon, kappa)
 
     pos_side = s >= 0.0
-    neg_side = ~pos_side
-    has_pos = bool(pos_side.any())
-    has_neg = bool(neg_side.any())
-
-    if has_pos and has_neg:
+    # No shift is needed when the set boundary misses the domain.
+    delta_bar = delta_under = 0.0
+    if pos_side.any() and not pos_side.all():
         # Both bands are closed and share the s = 0 slice.
-        pos_band = (s >= 0.0) & (s <= t_band)
-        neg_band = (s <= 0.0) & (s >= -t_band)
-        if not pos_band.any() or not neg_band.any():
+        above, below = u[pos_side & (s <= t_band)], u[(s <= 0.0) & (s >= -t_band)]
+        if not above.size or not below.size:
             raise ResolutionError(
                 "grid does not resolve the transition band of width "
                 f"{t_band:.3e}; refine so that h <= {t_band / 4:.3e}"
             )
-        delta_bar = float(np.max(u[pos_band]))
-        delta_under = float(np.min(u[neg_band]))
-    else:
-        # The set boundary misses the domain; no shift is needed.
-        delta_bar = 0.0
-        delta_under = 0.0
-
-    vals = splice_profile(s, transition_profile(epsilon, s), u - delta_bar, u - delta_under)
-
+        delta_bar, delta_under = float(np.max(above)), float(np.min(below))
+    vals = splice_profile(
+        pos_side, transition_profile(epsilon, s), u, delta_bar, delta_under
+    )
     state = PhaseState(
         field=ScalarField(domain, vals), epsilon=epsilon, bound_m=pair.bound_m
     )
+    vals = state.values  # the state holds a copy; free the spliced array
     breakdown = energy_mod.e_eps(state)
     l2 = energy_mod.l2_gap(vals, u, domain)
-    phase = potential.h_tilde(vals / math.sqrt(epsilon))
-    h_l1 = energy_mod.l1_gap(phase, pair.indicator_difference(), domain)
+    phase = np.divide(vals, math.sqrt(epsilon))
+    potential.h_tilde(phase, out=phase)
+    h_l1 = energy_mod.l1_gap(phase, pair.indicator_difference(), domain, out=phase)
     report = RecoveryReport(
         epsilon=float(epsilon),
         delta_bar=delta_bar,

@@ -87,6 +87,21 @@ def test_csv_header_and_coordinates(tmp_path):
     assert len(lines) == 6
 
 
+def test_csv_coordinates_of_an_off_centre_ball(tmp_path):
+    # the writer reads the nodes' coordinate views; rows follow C order
+    domain = pp.Domain.ball(1.0, 6, (0.25, -0.5))
+    field = random_field(domain, seed=61)
+    path = os.path.join(tmp_path, "field.csv")
+    fieldio.save_csv(field, path)
+    with open(path, "r", encoding="utf-8") as f:
+        rows = [line.split(",") for line in f.read().strip().split("\n")]
+    assert rows[0] == ["index", "x", "y", "value"]
+    x, y = np.meshgrid(domain.axis_x, domain.axis_y, indexing="ij")
+    assert [float(r[1]) for r in rows[1:]] == x.ravel().tolist()
+    assert [float(r[2]) for r in rows[1:]] == y.ravel().tolist()
+    assert np.array_equal(fieldio.load_csv(path).values, field.values)
+
+
 def test_load_field_dispatch(tmp_path):
     domain = pp.Domain.interval(-1.0, 1.0, 16)
     field = random_field(domain, seed=59)

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -516,6 +517,86 @@ def test_region_cell_fraction_area():
     frac = region_cell_fraction(pp.Disc((0.0, 0.0), 0.5), dom)
     area = float(np.sum(frac)) * dom.h * dom.h
     assert area == pytest.approx(math.pi * 0.25, rel=2e-4)
+
+
+@pytest.mark.parametrize("kind", ["box", "ball"])
+def test_full_and_empty_space_cell_fractions_are_exact(kind):
+    # +/- inf signed distances clip to exactly 1 and 0, with no warning
+    dom = pp.Domain.box(-1.0, 1.0, 16) if kind == "box" else pp.Domain.ball(1.0, 16, (0.25, -0.5))
+    cases = ((pp.FullSpace(), 1.0), (pp.EmptySpace(), 0.0), (pp.Complement(pp.FullSpace()), 0.0))
+    for region, value in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frac = region_cell_fraction(region, dom)
+        assert frac.shape == dom.cell_weights.shape
+        assert np.all(frac == value), region
+
+
+_GRID_MAKERS = [
+    lambda: pp.Domain.interval(-1.0, 2.0, 16),
+    lambda: pp.Domain.box(-1.0, 1.0, 16),
+    lambda: pp.Domain.ball(1.0, 16, (0.25, -0.5)),
+]
+
+
+def meshgrid_nodes(dom):
+    """The node coordinates as full meshgrid arrays."""
+    axes = (dom.axis_x,) if dom.dim == 1 else (dom.axis_x, dom.axis_y)
+    return np.meshgrid(*axes, indexing="ij")
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("make", _GRID_MAKERS)
+def test_grid_coordinates_have_the_meshgrid_bits(make):
+    dom = make()
+    mesh = meshgrid_nodes(dom)
+    nodes = (dom.nodes_x,) if dom.dim == 1 else (dom.nodes_x, dom.nodes_y)
+    assert len(nodes) == len(mesh)
+    for got, want in zip(nodes, mesh):
+        assert same_bits(got, want)
+    if dom.dim == 1:
+        assert dom.nodes_y is None and dom.cell_y is None
+        assert same_bits(dom.cell_x, 0.5 * (mesh[0][:-1] + mesh[0][1:]))
+        return
+    mx, my = mesh
+    assert same_bits(dom.cell_x, 0.5 * (mx[:-1, :-1] + mx[1:, :-1]))
+    assert same_bits(dom.cell_y, 0.5 * (my[:-1, :-1] + my[:-1, 1:]))
+    # zero-stride read-only views: the grid stores only the axes and midpoints
+    for view in (dom.nodes_x, dom.nodes_y, dom.cell_x, dom.cell_y):
+        assert 0 in view.strides and not view.flags.writeable
+    full = dom.nodes_x.copy()
+    assert full.flags.writeable and full.flags.c_contiguous and same_bits(full, mx)
+
+
+_REGIONS_2D = {
+    "disc": pp.Disc((0.1, -0.2), 0.5),
+    "half_plane": pp.HalfPlane((1.0, 2.0), 0.3),
+    "union": pp.Union((pp.Disc((0.0, 0.1), 0.4),)),
+    "intersection": pp.Intersection((pp.HalfPlane((0.0, 1.0), -0.2),)),
+    "complement": pp.Complement(pp.Disc((-0.2, 0.0), 0.3)),
+    "full_space": pp.FullSpace(),
+    "empty_space": pp.EmptySpace(),
+}
+
+
+@pytest.mark.parametrize("make", _GRID_MAKERS[1:])
+@pytest.mark.parametrize("name", list(_REGIONS_2D))
+def test_regions_on_coordinate_views_match_meshgrid_arrays(make, name):
+    dom, region = make(), _REGIONS_2D[name]
+    mx, my = meshgrid_nodes(dom)
+    want = np.asarray(region.signed_distance(mx, my), dtype=float)
+    sd = region.signed_distance(dom.nodes_x, dom.nodes_y)
+    assert np.shape(sd) == dom.node_shape
+    assert same_bits(sd, want)
+    mask = pp.rasterize(region, dom)
+    assert same_bits(mask, want >= 0.0)
+    pair = pp.SharpPair(pp.ScalarField(dom, np.where(mask, 0.5, -0.5)), region=region)
+    assert same_bits(pair.node_sd, want)
+    assert same_bits(pair.node_mask(), mask)
 
 
 # Hand-computed marching-squares lengths on one cell with +/-1 corners: a

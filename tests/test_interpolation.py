@@ -356,9 +356,18 @@ def annulus_wide_stage(inner_vals, outer_vals, radial, domain, epsilon, spec, di
     return out, energies, r_star
 
 
+def whole_grid_gaps(out, u, radial, domain, eps, spec):
+    """(l2_gap_outside, phase_l1_gap_outside) summed over the whole grid."""
+    weights = domain.node_weights * (radial > spec.rho)
+    diff = out - u
+    l2 = float(math.sqrt(np.sum(weights * diff * diff)))
+    phase_diff = pp.h_tilde(out / math.sqrt(eps)) - pp.h_tilde(u / math.sqrt(eps))
+    return l2, float(np.sum(weights * np.abs(phase_diff)))
+
+
 def full_grid_glue(inner, outer, spec):
-    """The glued values and (scan energies, r_star) per stage, with the
-    stages chosen and chained as ``glue`` does."""
+    """The glued values, (scan energies, r_star) per stage and the whole-grid
+    outside gaps, with the stages chosen and chained as ``glue`` does."""
     domain, eps = inner.domain, inner.epsilon
     u, v = outer.values, inner.values
     radial = interpolation._radial_nodes(domain)
@@ -367,7 +376,7 @@ def full_grid_glue(inner, outer, spec):
         out, energies, r_star = annulus_wide_stage(
             v, u, radial, domain, eps, spec, "rising", profile
         )
-        return out, [(energies, r_star)]
+        return out, [(energies, r_star)], whole_grid_gaps(out, u, radial, domain, eps, spec)
     half = spec.delta / 2.0
     spec_outer = pp.AnnulusSpec(spec.rho + half, half, spec.bound_m)
     spec_inner = pp.AnnulusSpec(spec.rho, half, spec.bound_m)
@@ -378,7 +387,7 @@ def full_grid_glue(inner, outer, spec):
     out, e2, r2 = annulus_wide_stage(
         v, w1, radial, domain, eps, spec_inner, "falling", profile
     )
-    return out, [(e1, r1), (e2, r2)]
+    return out, [(e1, r1), (e2, r2)], whole_grid_gaps(out, u, radial, domain, eps, spec)
 
 
 def _disc_states(n, eps, radius, centres):
@@ -460,7 +469,7 @@ def test_glue_band_limited_equals_full_grid_bitwise(name):
     inner, outer = _band_case(name)
     spec = pp.AnnulusSpec(0.6, 0.2, inner.bound_m)
     out, report = pp.glue(inner, outer, spec, budget=1e6)
-    ref_out, ref_stages = full_grid_glue(inner, outer, spec)
+    ref_out, ref_stages, ref_gaps = full_grid_glue(inner, outer, spec)
     assert [bool(np.max(e) > 0.0) for e, _ in ref_stages] == _BAND_CASES[name]
     assert len(report.stages) == len(ref_stages)
     for stage, (energies, r_star) in zip(report.stages, ref_stages):
@@ -468,3 +477,5 @@ def test_glue_band_limited_equals_full_grid_bitwise(name):
         assert stage.r_star == r_star
     assert report.r_star == ref_stages[-1][1]
     assert np.array_equal(out.values, ref_out)
+    # the gaps summed from the annulus terms are the whole-grid sums, bit for bit
+    assert (report.l2_gap_outside, report.phase_l1_gap_outside) == ref_gaps
