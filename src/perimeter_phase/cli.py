@@ -24,10 +24,9 @@ near-equal length and submits one task per chunk, so the pool's
 hand-over is paid once per worker rather than once per item.  Results
 are joined in input order, so the thread count never changes the output
 bytes, and when items fail the exception raised is that of the first
-failing item in input order.  The PERIMETER_PHASE_THREADS environment
-variable sets the number of workers; without it the pool has one worker
-per CPU this process may run on (os.sched_getaffinity where it exists,
-os.cpu_count elsewhere), at most 4.
+failing item in input order.  The pool has one worker per CPU this
+process may run on (os.sched_getaffinity where it exists, os.cpu_count
+elsewhere), at most 4.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import numpy as np
 # loads with this module rather than inside the first run.
 from numpy.random import Generator, Philox
 
-from . import fieldio, potential
+from . import fieldio
 from . import energy as energy_mod
 from . import interpolation, minimize, profiles1d, recovery
 from .energy import PhaseState, ScalarField, SharpPair
@@ -66,12 +65,6 @@ _HARMONIC_COUNT_MAX = 10_000
 
 
 def _workers() -> int:
-    env = os.environ.get("PERIMETER_PHASE_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
     # cpu_count() counts the whole machine, also under taskset or a cpuset.
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -659,6 +652,8 @@ def _run_oracle1d(cfg: dict, out_dir: str, rng) -> List[str]:
     return [path]
 
 
+# Process-wide, because harmonic-check upsamples every field on the same
+# grid; read-only, so the pool's workers share the arrays.
 @functools.lru_cache(maxsize=8)
 def _upsample_weights(k: int, m: int):
     """Read-only indices (i0, i0 + 1) and weights (1 - f, f) of m samples on k knots."""

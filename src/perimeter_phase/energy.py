@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -86,6 +86,14 @@ class PhaseState:
     @property
     def values(self) -> np.ndarray:
         return self.field.values
+
+
+def epsilon_schedule(epsilons: Sequence[float]) -> List[float]:
+    """The scales of a continuation as floats: nonempty, positive, strictly decreasing."""
+    eps = [float(e) for e in epsilons]
+    if not eps or any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise DomainError("epsilons must be nonempty, positive and strictly decreasing")
+    return eps
 
 
 @dataclass

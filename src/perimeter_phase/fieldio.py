@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from typing import Tuple
 
 import numpy as np
 
@@ -83,18 +81,23 @@ def save_csv(field: ScalarField, path: str) -> None:
 
 
 def load_csv(path: str) -> ScalarField:
+    """Read a CSV field; every node index in [0, size) must appear exactly once."""
     domain = _read_sidecar(path)
     values = np.empty(int(np.prod(domain.node_shape)))
+    seen = np.zeros(values.size, dtype=bool)
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader)
         value_col = header.index("value")
-        count = 0
         for row in reader:
-            values[int(row[0])] = float(row[value_col])
-            count += 1
-    if count != values.size:
-        raise OSError(f"{path}: expected {values.size} rows, found {count}")
+            i = int(row[0])
+            if not 0 <= i < values.size or seen[i]:
+                raise OSError(f"{path}: node index {i} is repeated or outside 0..{values.size - 1}")
+            seen[i] = True
+            values[i] = float(row[value_col])
+    # Each row read has its own node, so the nodes seen count the rows.
+    if not seen.all():
+        raise OSError(f"{path}: expected {values.size} rows, found {np.count_nonzero(seen)}")
     return ScalarField(domain, values.reshape(domain.node_shape))
 
 

@@ -26,13 +26,13 @@ replaces those attributes counts iterations and line-search trials.
 harmonic_replacement solves the discrete Laplace equation with the
 field's boundary values.  On intervals and boxes, whose boundary is the
 array edge, discrete sine transforms diagonalise the stencil and solve it
-exactly with numpy's FFT; on balls a sparse LU factor of the 5-point band
-restricted to the interior nodes is kept for the last ball solved on, and
-scipy is imported on the first ball solve only.  The descent and the
-solve share one stencil, _laplacian, the exact first variation of the
-discrete Dirichlet sum, so the replacement is that sum's unique minimizer
-among fields with those boundary values, and the discrete minimum
-principle keeps it positive when the boundary is.
+exactly with numpy's FFT; on balls each call factorizes the 5-point band
+restricted to the interior nodes by sparse LU and drops the factor when
+it returns, and scipy is imported on the first ball solve only.  The
+descent and the solve share one stencil, _laplacian, the exact first
+variation of the discrete Dirichlet sum, so the replacement is that
+sum's unique minimizer among fields with those boundary values, and the
+discrete minimum principle keeps it positive when the boundary is.
 
 sharp_oracle_1d returns the closed-form minimizer of the 1D sharp
 functional over single-interface candidates.
@@ -42,8 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -52,7 +51,7 @@ from . import energy as energy_mod
 from . import potential
 from .energy import EnergyBreakdown, PhaseState, ScalarField
 from .errors import DomainError, NumericError
-from .geometry import Domain, domain_cache_key
+from .geometry import Domain
 
 _MAX_HALVINGS = 30
 
@@ -218,13 +217,6 @@ def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResul
     )
 
 
-# Holds the LU factor of the last ball solved on, keyed by domain.  A
-# factor can hold hundreds of MB (about 260 MB for a ball with n=512), so
-# a new domain replaces the cached one.
-_LAPLACE_CACHE: dict = {}
-_LAPLACE_LOCK = threading.Lock()
-
-
 def _dst1(values: np.ndarray) -> np.ndarray:
     """Negated type-I discrete sine transform along the last axis.
 
@@ -238,8 +230,9 @@ def _dst1(values: np.ndarray) -> np.ndarray:
     return np.fft.rfft(padded).imag[..., 1 : m + 1]
 
 
-# Keeps the eigenvalues of the four most recently used (m, dim) grids.
-# They are read-only, so the pool's workers share them.
+# Process-wide, because harmonic-check reads the same grid's eigenvalues
+# once per field; read-only, so the pool's workers share them.  Keeps the
+# four most recently used (m, dim) grids.
 @functools.lru_cache(maxsize=4)
 def _stencil_eigenvalues(m: int, dim: int) -> np.ndarray:
     """Eigenvalues of the stencil, times the ((m + 1) / 2)^dim of the inverse transform."""
@@ -274,7 +267,15 @@ def _spectral_laplace_solve(rhs: np.ndarray) -> np.ndarray:
 
 
 def _build_laplace_system(domain: Domain):
-    # scipy is imported here, so that it loads on the first ball solve only.
+    """Sparse LU factor of a ball's interior Laplace matrix.
+
+    The factor solves A x = b: A is the 5-point band (4 on the diagonal,
+    -1 at offsets +-1 and +-(n + 1)) on the flattened grid, restricted to
+    the interior nodes in C order, which drops the band's wrap-around
+    entries (they join array-edge nodes, all boundary); b is the stencil
+    of the field with its interior zeroed.  scipy is imported here, so
+    that it loads on the first ball solve only.
+    """
     from scipy.sparse import diags
     from scipy.sparse.linalg import splu
 
@@ -291,36 +292,16 @@ def _build_laplace_system(domain: Domain):
     )
 
 
-def _laplace_system(domain: Domain):
-    """Cached sparse LU factor of a ball's interior Laplace matrix.
-
-    The factor solves A x = b: A is the 5-point band (4 on the diagonal,
-    -1 at offsets +-1 and +-(n + 1)) on the flattened grid, restricted to
-    the interior nodes in C order, which drops the band's wrap-around
-    entries (they join array-edge nodes, all boundary); b is the stencil
-    of the field with its interior zeroed.  Only the last domain's factor
-    is kept; it is read and replaced under a lock, so concurrent first
-    calls build it once.
-    """
-    key = domain_cache_key(domain)
-    with _LAPLACE_LOCK:
-        system = _LAPLACE_CACHE.get(key)
-        if system is None:
-            _LAPLACE_CACHE.clear()
-            system = _LAPLACE_CACHE[key] = _build_laplace_system(domain)
-    return system
-
-
 def harmonic_replacement(field: ScalarField) -> ScalarField:
     """Discrete Dirichlet minimizer with the field's boundary values.
 
     Solves the 3- or 5-point Laplace system on interior nodes: exactly by
     discrete sine transforms on intervals and boxes, whose boundary is the
-    array edge, and with the domain's cached sparse LU factor on balls
-    (scipy loads on the first ball solve).  Both paths check the residual
-    of the stencil on the assembled field; the result is the unique
-    minimizer of the discrete Dirichlet sum over fields agreeing with the
-    input on the boundary mask.
+    array edge, and with a sparse LU factor on balls, built for this call
+    and dropped when it returns (scipy loads on the first ball solve).
+    Both paths check the residual of the stencil on the assembled field;
+    the result is the unique minimizer of the discrete Dirichlet sum over
+    fields agreeing with the input on the boundary mask.
     """
     domain = field.domain
     inner = (slice(1, -1),) * domain.dim
@@ -334,7 +315,7 @@ def harmonic_replacement(field: ScalarField) -> ScalarField:
     # in the inner block; on intervals and boxes they fill it.
     if domain.kind == "ball":
         free = interior[inner]
-        out[inner][free] = _laplace_system(domain).solve(stencil[free])
+        out[inner][free] = _build_laplace_system(domain).solve(stencil[free])
     else:
         free = ...
         out[inner] = _spectral_laplace_solve(stencil)
@@ -441,11 +422,7 @@ def continuation_sweep(
     """
     if domain.dim != 1:
         raise DomainError("continuation sweeps run on interval domains")
-    eps = [float(e) for e in epsilons]
-    if not eps or any(e <= 0 for e in eps) or any(
-        b >= a for a, b in zip(eps, eps[1:])
-    ):
-        raise DomainError("epsilons must be positive and strictly decreasing")
+    eps = energy_mod.epsilon_schedule(epsilons)
     if not (left_value < 0.0 < right_value):
         raise DomainError("boundary values must straddle zero")
     a_mag, b_mag = -left_value, right_value

@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -219,11 +218,10 @@ class SlopedProfile:
         return float(out) if out.ndim == 0 else out
 
 
-@functools.lru_cache(maxsize=256)
 def sloped_profile(
     epsilon: float, theta: float, convention: str = TAIL_SLOPE_THETA
 ) -> SlopedProfile:
-    """Cached constructor for :class:`SlopedProfile`."""
+    """A new :class:`SlopedProfile`; its closed form builds in microseconds."""
     return SlopedProfile(float(epsilon), float(theta), convention)
 
 

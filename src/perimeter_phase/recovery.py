@@ -99,11 +99,4 @@ def recovery_curve(
     pair: SharpPair, epsilons: Sequence[float], kappa: float = 0.1
 ) -> List[RecoveryReport]:
     """Recovery reports along a decreasing scale schedule."""
-    eps = [float(e) for e in epsilons]
-    if not eps:
-        raise DomainError("epsilons must be nonempty")
-    if any(e <= 0 for e in eps):
-        raise DomainError("epsilons must be positive")
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise DomainError("epsilons must be strictly decreasing")
-    return [build_recovery(pair, e, kappa)[1] for e in eps]
+    return [build_recovery(pair, e, kappa)[1] for e in energy_mod.epsilon_schedule(epsilons)]

@@ -254,10 +254,10 @@ def test_energy_run_reports_breakdown(tmp_path):
 def test_harmonic_check_bytes_deterministic(tmp_path, monkeypatch):
     payload = {"count": 3, "n": 64, "boundary_floor": 0.1, "seed": 11}
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("PERIMETER_PHASE_THREADS", "1")
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
     cfg_a = write_config(tmp_path / "ha.json", payload)
     assert main(["harmonic-check", "--config", cfg_a, "--out", str(out_a), "--quiet"]) == 0
-    monkeypatch.setenv("PERIMETER_PHASE_THREADS", "3")
+    monkeypatch.setattr(cli, "_workers", lambda: 3)
     cfg_b = write_config(tmp_path / "hb.json", payload)
     assert main(["harmonic-check", "--config", cfg_b, "--out", str(out_b), "--quiet"]) == 0
     for name in ("harmonic.csv", "harmonic.json"):
@@ -413,6 +413,18 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     code = main(["profile", "--config", str(tmp_path / "nope.json"), "--quiet"])
     assert code == 1
     assert "error[input]" in capsys.readouterr().err
+
+
+def test_csv_field_with_an_out_of_range_index_exits_one(tmp_path, capsys):
+    domain = pp.Domain.interval(-1.0, 1.0, 64)
+    path = str(tmp_path / "field.csv")
+    fieldio.save_csv(pp.ScalarField(domain, np.zeros(domain.node_shape)), path)
+    lines = (tmp_path / "field.csv").read_text().split("\n")
+    lines[-2] = "999," + lines[-2].split(",", 1)[1]
+    (tmp_path / "field.csv").write_text("\n".join(lines))
+    assert run(tmp_path, "energy", {"field": path, "epsilon": 1e-2}) == 1
+    err = capsys.readouterr().err
+    assert "error[input]" in err and "field.csv: node index 999" in err
 
 
 def test_malformed_json_exits_one(tmp_path, capsys):

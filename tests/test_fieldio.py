@@ -102,6 +102,33 @@ def test_csv_coordinates_of_an_off_centre_ball(tmp_path):
     assert np.array_equal(fieldio.load_csv(path).values, field.values)
 
 
+def _write_csv_with_index(tmp_path, row, index):
+    """A saved 1D CSV field whose given data row carries another node index."""
+    domain = pp.Domain.interval(-1.0, 1.0, 4)
+    path = os.path.join(tmp_path, "field.csv")
+    fieldio.save_csv(random_field(domain, seed=67), path)
+    with open(path, "r", encoding="utf-8") as f:
+        lines = f.read().split("\n")
+    cells = lines[row + 1].split(",")
+    lines[row + 1] = ",".join([str(index)] + cells[1:])
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines))
+    return path
+
+
+@pytest.mark.parametrize(
+    "row, index",
+    [(3, 1), (0, -1), (4, 999)],
+    ids=["repeated", "negative", "out_of_range"],
+)
+def test_csv_node_index_must_name_each_node_once(tmp_path, row, index):
+    # a repeated or negative index used to leave a node unset (np.empty),
+    # and one past the grid escaped as IndexError
+    path = _write_csv_with_index(tmp_path, row, index)
+    with pytest.raises(OSError, match="field.csv: node index"):
+        fieldio.load_csv(path)
+
+
 def test_load_field_dispatch(tmp_path):
     domain = pp.Domain.interval(-1.0, 1.0, 16)
     field = random_field(domain, seed=59)

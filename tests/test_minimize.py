@@ -3,7 +3,7 @@
 import math
 import sys
 import threading
-import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 import perimeter_phase as pp
-from perimeter_phase import geometry, minimize
+from perimeter_phase import minimize
 from perimeter_phase.cli import random_positive_field
 from perimeter_phase.errors import DomainError, NumericError
 
@@ -516,30 +516,22 @@ def test_laplacian_of_zeroed_interior_is_bitwise_the_neighbour_sum(
     assert out[free].tobytes() == _plain_neighbour_sum(vals)[free].tobytes()
 
 
-def test_laplace_system_built_once_under_concurrent_first_calls(monkeypatch):
-    # Only balls use the cached factor; intervals and boxes solve spectrally.
-    dom = pp.Domain.ball(1.0, 24)
-    fields = [
+def _ball_fields(dom, count):
+    return [
         random_positive_field(dom, np.random.Generator(np.random.Philox(seed)), 0.1)
-        for seed in range(4)
+        for seed in range(count)
     ]
-    builds = []
-    real_build = minimize._build_laplace_system
 
-    def slow_build(domain):
-        builds.append(domain)
-        time.sleep(0.05)
-        return real_build(domain)
 
-    monkeypatch.setattr(minimize, "_build_laplace_system", slow_build)
-    monkeypatch.setattr(minimize, "_LAPLACE_CACHE", {})
+def test_concurrent_ball_solves_equal_sequential_ones():
+    fields = _ball_fields(pp.Domain.ball(1.0, 24), 4)
     start = threading.Barrier(len(fields))
 
     def replace(field):
         start.wait(timeout=10)
         return pp.harmonic_replacement(field)
 
-    # More threads than cores, switching often, all missing the cache at once.
+    # More threads than cores, switching often, all solving at once.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -548,41 +540,44 @@ def test_laplace_system_built_once_under_concurrent_first_calls(monkeypatch):
             concurrent = [f.result(timeout=30) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert len(builds) == 1
-
-    monkeypatch.setattr(minimize, "_LAPLACE_CACHE", {})
     sequential = [pp.harmonic_replacement(f) for f in fields]
-    assert len(builds) == 2
     for c, s in zip(concurrent, sequential):
-        assert np.array_equal(c.values, s.values)
+        assert c.values.tobytes() == s.values.tobytes()
 
 
-def test_laplace_cache_keeps_only_the_last_domain(monkeypatch):
-    builds = []
+class _Factor:
+    """Stands in for a ball's LU factor; unlike scipy's, it takes a weakref."""
 
-    def counting_build(domain):
-        builds.append(domain)
-        return object()
+    def __init__(self, factor):
+        self.factor = factor
 
-    monkeypatch.setattr(minimize, "_build_laplace_system", counting_build)
-    monkeypatch.setattr(minimize, "_LAPLACE_CACHE", {})
-    first, second = (pp.Domain.interval(-1.0, 1.0, n) for n in (8, 9))
-    system = minimize._laplace_system(first)
-    assert minimize._laplace_system(first) is system
-    assert len(builds) == 1
+    def solve(self, b):
+        return self.factor.solve(b)
 
-    # A new domain replaces the cached system instead of adding to it.
-    minimize._laplace_system(second)
-    assert len(builds) == 2
-    assert list(minimize._LAPLACE_CACHE) == [geometry.domain_cache_key(second)]
-    assert minimize._laplace_system(first) is not system
-    assert len(builds) == 3
+
+def test_ball_solve_keeps_no_reference_to_its_factor(monkeypatch):
+    # A factor holds about 130 MB at ball n=512; no workload solves twice on
+    # one ball, so each solve builds its own and drops it.
+    refs = []
+    real_build = minimize._build_laplace_system
+
+    def build(domain):
+        factor = _Factor(real_build(domain))
+        refs.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(minimize, "_build_laplace_system", build)
+    field = _ball_fields(pp.Domain.ball(1.0, 24), 1)[0]
+    first, second = pp.harmonic_replacement(field), pp.harmonic_replacement(field)
+    assert first.values.tobytes() == second.values.tobytes()
+    assert len(refs) == 2
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_harmonic_replacement_residual_guard_fires(monkeypatch):
     dom = pp.Domain.ball(1.0, 16)
     zero_factor = SimpleNamespace(solve=lambda b: np.zeros_like(b))
-    monkeypatch.setitem(minimize._LAPLACE_CACHE, geometry.domain_cache_key(dom), zero_factor)
+    monkeypatch.setattr(minimize, "_build_laplace_system", lambda domain: zero_factor)
     field = pp.ScalarField(dom, np.ones(dom.node_shape))
     with pytest.raises(NumericError, match="residual"):
         pp.harmonic_replacement(field)

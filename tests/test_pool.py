@@ -6,7 +6,8 @@ across thread counts.
 """
 
 import json
-import os
+import pathlib
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -27,7 +28,7 @@ def write_config(path, payload):
 
 def run_bytes(tmp, kind, payload, threads, monkeypatch):
     """Output files of one CLI run under the given thread count, by name."""
-    monkeypatch.setenv("PERIMETER_PHASE_THREADS", str(threads))
+    monkeypatch.setattr(cli, "_workers", lambda: threads)
     out = tmp / f"{kind}-{threads}"
     cfg = write_config(tmp / f"{kind}-{threads}.json", payload)
     assert cli.main([kind, "--config", cfg, "--out", str(out), "--quiet"]) == 0
@@ -39,14 +40,12 @@ def run_bytes(tmp, kind, payload, threads, monkeypatch):
 
 
 def test_workers_reads_the_affinity_mask(monkeypatch):
-    monkeypatch.delenv("PERIMETER_PHASE_THREADS", raising=False)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     assert cli._workers() == 1
 
 
 def test_workers_falls_back_to_cpu_count(monkeypatch):
-    monkeypatch.delenv("PERIMETER_PHASE_THREADS", raising=False)
     monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     assert cli._workers() == 3
@@ -54,10 +53,17 @@ def test_workers_falls_back_to_cpu_count(monkeypatch):
     assert cli._workers() == 1
 
 
-def test_workers_env_overrides_the_affinity_mask(monkeypatch):
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setenv("PERIMETER_PHASE_THREADS", "3")
-    assert cli._workers() == 3
+def test_workers_caps_the_pool_at_four(monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    assert cli._workers() == 4
+
+
+def test_no_module_reads_the_environment():
+    # The pool size, like every other setting, comes from the machine or
+    # the config, never from an environment variable.
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"\benviron\b|getenv", text), path.name
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +78,7 @@ def _square(x):
 @given(length=st.integers(0, 40), threads=st.integers(1, 5))
 def test_map_chunks_equals_the_plain_loop(length, threads):
     items = [3 * i - 7 for i in range(length)]
-    with mock.patch.dict(os.environ, {"PERIMETER_PHASE_THREADS": str(threads)}):
+    with mock.patch.object(cli, "_workers", lambda: threads):
         assert cli._map_chunks(_square, items) == [_square(x) for x in items]
 
 
@@ -95,7 +101,7 @@ def test_map_chunks_raises_the_first_failing_item(data, length, threads):
             raise ItemFailed(x)
         return x
 
-    with mock.patch.dict(os.environ, {"PERIMETER_PHASE_THREADS": str(threads)}):
+    with mock.patch.object(cli, "_workers", lambda: threads):
         with pytest.raises(ItemFailed) as info:
             cli._map_chunks(fn, items)
     assert info.value.args == (min(failing),)
@@ -125,27 +131,26 @@ def counting_pool(monkeypatch):
 
 
 def test_map_chunks_of_nothing_starts_no_pool(monkeypatch, counting_pool):
-    monkeypatch.setenv("PERIMETER_PHASE_THREADS", "3")
+    monkeypatch.setattr(cli, "_workers", lambda: 3)
     assert cli._map_chunks(_square, []) == []
     assert counting_pool.sizes == [] and counting_pool.submissions == []
 
 
 def test_map_chunks_caps_the_pool_at_the_item_count(monkeypatch, counting_pool):
-    monkeypatch.setenv("PERIMETER_PHASE_THREADS", "5")
+    monkeypatch.setattr(cli, "_workers", lambda: 5)
     assert cli._map_chunks(_square, [4, 5]) == [(4, 16), (5, 25)]
     assert counting_pool.sizes == [2]
     assert len(counting_pool.submissions) == 2
 
 
 def test_map_chunks_cuts_contiguous_near_equal_chunks(monkeypatch, counting_pool):
-    monkeypatch.setenv("PERIMETER_PHASE_THREADS", "3")
+    monkeypatch.setattr(cli, "_workers", lambda: 3)
     cli._map_chunks(_square, list(range(10)))
     assert counting_pool.submissions == [(0, 3), (3, 6), (6, 10)]
 
 
 def test_harmonic_check_submits_one_task_per_worker(tmp_path, monkeypatch, counting_pool):
     # One task per field pays the pool's hand-over 100 times.
-    monkeypatch.delenv("PERIMETER_PHASE_THREADS", raising=False)
     cfg = write_config(tmp_path / "h.json", {"count": 100, "n": 64})
     assert cli.main(["harmonic-check", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
     assert 1 <= len(counting_pool.submissions) <= cli._workers()

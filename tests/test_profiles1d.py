@@ -172,8 +172,7 @@ def test_sloped_profile_odd_and_monotone():
     assert np.all(d > 0.0)
 
 
-def test_sloped_profile_cached():
-    assert pp.sloped_profile(1e-2, 4.0) is pp.sloped_profile(1e-2, 4.0)
+def test_sloped_profile_helpers_agree():
     assert pp.sloped_crossing_time(1e-2, 4.0) == pp.sloped_profile(1e-2, 4.0).crossing_time
     s = np.array([0.0, 0.01, 0.5])
     assert np.allclose(
