@@ -87,9 +87,11 @@ def load_csv(path: str) -> ScalarField:
     seen = np.zeros(values.size, dtype=bool)
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, ["value"])  # an empty file has no data rows
         value_col = header.index("value")
         for row in reader:
+            if len(row) <= value_col:
+                raise OSError(f"{path}: line {reader.line_num} has no value column")
             i = int(row[0])
             if not 0 <= i < values.size or seen[i]:
                 raise OSError(f"{path}: node index {i} is repeated or outside 0..{values.size - 1}")

@@ -26,13 +26,12 @@ replaces those attributes counts iterations and line-search trials.
 harmonic_replacement solves the discrete Laplace equation with the
 field's boundary values.  On intervals and boxes, whose boundary is the
 array edge, discrete sine transforms diagonalise the stencil and solve it
-exactly with numpy's FFT; on balls each call factorizes the 5-point band
-restricted to the interior nodes by sparse LU and drops the factor when
-it returns, and scipy is imported on the first ball solve only.  The
-descent and the solve share one stencil, _laplacian, the exact first
-variation of the discrete Dirichlet sum, so the replacement is that
-sum's unique minimizer among fields with those boundary values, and the
-discrete minimum principle keeps it positive when the boundary is.
+exactly with numpy's FFT; on balls, conjugate gradients preconditioned
+by that solve do.  The descent and the solve share one stencil,
+_laplacian, the exact first variation of the discrete Dirichlet sum, so
+the replacement is that sum's unique minimizer among fields with those
+boundary values, and the discrete minimum principle keeps it positive
+when the boundary is.
 
 sharp_oracle_1d returns the closed-form minimizer of the 1D sharp
 functional over single-interface candidates.
@@ -230,9 +229,9 @@ def _dst1(values: np.ndarray) -> np.ndarray:
     return np.fft.rfft(padded).imag[..., 1 : m + 1]
 
 
-# Process-wide, because harmonic-check reads the same grid's eigenvalues
-# once per field; read-only, so the pool's workers share them.  Keeps the
-# four most recently used (m, dim) grids.
+# Process-wide and read-only: harmonic-check reads a grid's eigenvalues
+# once per field and a ball solve once per CG step, on any pool worker.
+# Keeps the four most recently used (m, dim) grids.
 @functools.lru_cache(maxsize=4)
 def _stencil_eigenvalues(m: int, dim: int) -> np.ndarray:
     """Eigenvalues of the stencil, times the ((m + 1) / 2)^dim of the inverse transform."""
@@ -250,10 +249,8 @@ def _spectral_laplace_solve(rhs: np.ndarray) -> np.ndarray:
     tridiagonal [-1, 2, -1] of each axis with eigenvalues
     4 sin^2(pi k / 2 (m + 1)), and applied twice it is (m + 1) / 2 times
     the identity (Buzbee, Golub & Nielson 1970); the signs of the negated
-    transforms cancel in pairs.  The eigenvalues depend on the grid only,
-    so they come from a read-only cache keyed by (m, dim) that keeps the
-    four most recently used grids; a solve costs its 2 dim transforms and
-    one division.
+    transforms cancel in pairs.  With the eigenvalues cached, a solve
+    costs its 2 dim transforms and one division.
     """
     m, dim = rhs.shape[0], rhs.ndim
     eig = _stencil_eigenvalues(m, dim)
@@ -266,30 +263,36 @@ def _spectral_laplace_solve(rhs: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _build_laplace_system(domain: Domain):
-    """Sparse LU factor of a ball's interior Laplace matrix.
+def _ball_laplace_solve(rhs: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """CG for the 5-point system A x = rhs on the free nodes of the inner block.
 
-    The factor solves A x = b: A is the 5-point band (4 on the diagonal,
-    -1 at offsets +-1 and +-(n + 1)) on the flattened grid, restricted to
-    the interior nodes in C order, which drops the band's wrap-around
-    entries (they join array-edge nodes, all boundary); b is the stencil
-    of the field with its interior zeroed.  scipy is imported here, so
-    that it loads on the first ball solve only.
+    A p is minus the stencil of p padded with zeros, masked to the free
+    nodes; the preconditioner, the sine-transform solve masked alike, is
+    a principal block of the box's inverse (Concus & Golub 1973).  Stops
+    at residual 1e-12 of rhs, when r.z is not positive (zero data gives
+    zeros) or after one step per free node.  Dots are numpy sums, which
+    do not depend on BLAS threads.
     """
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import splu
-
-    side = domain.n + 1
-    band = diags([4.0, -1.0, -1.0, -1.0, -1.0], [0, -1, 1, -side, side], (side**2,) * 2)
-    free = np.flatnonzero(~domain.boundary_mask)
-    # A is symmetric positive definite, so no pivoting is needed and a
-    # symmetric ordering keeps the factor small.
-    return splu(
-        band.tocsr()[free][:, free].tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
-    )
+    keep = free.astype(float)
+    padded = np.zeros(tuple(s + 2 for s in rhs.shape))
+    x, q, r = np.zeros(rhs.shape), np.empty(rhs.shape), rhs * keep
+    z = _spectral_laplace_solve(r) * keep
+    p = z.copy()
+    rz, stop = float(np.sum(r * z)), 1e-12 * math.sqrt(np.sum(r * r))
+    for _ in range(np.count_nonzero(free)):
+        if not rz > 0.0 or math.sqrt(np.sum(r * r)) <= stop:
+            break
+        padded[1:-1, 1:-1] = p
+        _laplacian(padded, q)
+        q *= -keep
+        alpha = rz / float(np.sum(p * q))
+        x += alpha * p
+        r -= alpha * q
+        z = _spectral_laplace_solve(r) * keep
+        rz, previous = float(np.sum(r * z)), rz
+        p *= rz / previous
+        p += z
+    return x
 
 
 def harmonic_replacement(field: ScalarField) -> ScalarField:
@@ -297,10 +300,9 @@ def harmonic_replacement(field: ScalarField) -> ScalarField:
 
     Solves the 3- or 5-point Laplace system on interior nodes: exactly by
     discrete sine transforms on intervals and boxes, whose boundary is the
-    array edge, and with a sparse LU factor on balls, built for this call
-    and dropped when it returns (scipy loads on the first ball solve).
-    Both paths check the residual of the stencil on the assembled field;
-    the result is the unique minimizer of the discrete Dirichlet sum over
+    array edge, and on balls by CG preconditioned with that solve.  Both
+    paths check the residual of the stencil on the assembled field; the
+    result is the unique minimizer of the discrete Dirichlet sum over
     fields agreeing with the input on the boundary mask.
     """
     domain = field.domain
@@ -315,14 +317,14 @@ def harmonic_replacement(field: ScalarField) -> ScalarField:
     # in the inner block; on intervals and boxes they fill it.
     if domain.kind == "ball":
         free = interior[inner]
-        out[inner][free] = _build_laplace_system(domain).solve(stencil[free])
+        out[inner][free] = _ball_laplace_solve(stencil, free)[free]
     else:
         free = ...
         out[inner] = _spectral_laplace_solve(stencil)
     rhs_norm = float(np.linalg.norm(stencil[free]))
     _laplacian(out, stencil)
     residual = float(np.linalg.norm(stencil[free]))
-    if residual > 1e-8 * max(1.0, rhs_norm):
+    if not residual <= 1e-8 * max(1.0, rhs_norm):
         raise NumericError(f"Laplace solve residual too large: {residual:.3e}")
     return ScalarField(domain, out)
 
@@ -368,15 +370,10 @@ def sign_change_locations(field: ScalarField) -> np.ndarray:
     """Linearly interpolated zero crossings of a 1D field."""
     if field.domain.dim != 1:
         raise DomainError("sign changes are only located on 1D grids")
-    v = field.values
-    x = field.domain.nodes_x
-    inside = v >= 0.0
-    flips = np.nonzero(inside[:-1] != inside[1:])[0]
-    out = []
-    for i in flips:
-        t = v[i] / (v[i] - v[i + 1])
-        out.append(x[i] + t * (x[i + 1] - x[i]))
-    return np.asarray(out)
+    v, x = field.values, field.domain.nodes_x
+    i = np.flatnonzero((v[:-1] >= 0.0) != (v[1:] >= 0.0))
+    t = v[i] / (v[i] - v[i + 1])
+    return x[i] + t * (x[i + 1] - x[i])
 
 
 def _affine_start(x: np.ndarray, left: float, right: float) -> np.ndarray:

@@ -31,6 +31,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         )
 
 
+def damage_csv_lines(lines: list, damage: str) -> list:
+    """The lines of a saved CSV field after one kind of damage."""
+    if damage == "short_row":
+        lines[2] = lines[2].rsplit(",", 1)[0]
+    elif damage == "blank_line":
+        lines.insert(2, "")
+    else:
+        lines = []
+    return lines
+
+
 # ---------------------------------------------------------------------------
 # Seeded band-limited 1D fields.  Eight Fourier modes with 1/k coefficient
 # decay, normalized to sup 0.9 so the amplitude bound 1 always holds.

@@ -12,6 +12,7 @@ import perimeter_phase as pp
 from perimeter_phase import cli, fieldio
 from perimeter_phase.cli import main, parse_config
 from perimeter_phase.errors import ConfigError
+from conftest import damage_csv_lines
 
 
 def write_config(path, payload):
@@ -427,6 +428,18 @@ def test_csv_field_with_an_out_of_range_index_exits_one(tmp_path, capsys):
     assert "error[input]" in err and "field.csv: node index 999" in err
 
 
+@pytest.mark.parametrize("damage", ["short_row", "blank_line", "empty_file"])
+def test_csv_field_with_missing_cells_exits_one(tmp_path, capsys, damage):
+    domain = pp.Domain.interval(-1.0, 1.0, 64)
+    path = str(tmp_path / "field.csv")
+    fieldio.save_csv(pp.ScalarField(domain, np.zeros(domain.node_shape)), path)
+    lines = (tmp_path / "field.csv").read_text().split("\n")
+    (tmp_path / "field.csv").write_text("\n".join(damage_csv_lines(lines, damage)))
+    assert run(tmp_path, "energy", {"field": path, "epsilon": 1e-2}) == 1
+    err = capsys.readouterr().err
+    assert "error[input]" in err and "field.csv: " in err
+
+
 def test_malformed_json_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -570,8 +583,8 @@ _SCIPY_LOADED = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
 
 
 def test_cli_import_leaves_heavy_scipy_modules_out():
-    # Only a ball's Laplace solve needs scipy; every CLI run would pay for
-    # loading it at startup.
+    # The package needs no scipy, only its tests do; loading it would cost
+    # every CLI run at startup.
     assert _run_python(f"import sys, perimeter_phase.cli; print({_SCIPY_LOADED})") == "[]"
 
 
@@ -596,19 +609,16 @@ def test_cli_runs_without_scipy(tmp_path):
     assert _run_python(code) == "[0, 0, 0]"
 
 
-def test_scipy_loads_on_the_first_ball_solve_only():
+def test_laplace_solves_load_no_scipy():
     code = (
         "import sys, numpy as np, perimeter_phase as pp\n"
-        "def solve(domain):\n"
+        "for domain in (pp.Domain.interval(-1.0, 1.0, 64), pp.Domain.box(-1.0, 1.0, 64),\n"
+        "               pp.Domain.ball(1.0, 64, center=(0.1, 0.0))):\n"
         "    values = np.random.default_rng(3).normal(size=domain.node_shape)\n"
-        "    return pp.harmonic_replacement(pp.ScalarField(domain, values))\n"
-        "solve(pp.Domain.interval(-1.0, 1.0, 64)); solve(pp.Domain.box(-1.0, 1.0, 64))\n"
-        f"print({_SCIPY_LOADED})\n"
-        "ball = pp.Domain.ball(1.0, 64)\n"
-        "out = solve(ball)\n"
-        "print('scipy.sparse.linalg' in sys.modules, bool(np.all(np.isfinite(out.values))))\n"
+        "    out = pp.harmonic_replacement(pp.ScalarField(domain, values))\n"
+        "    print(bool(np.all(np.isfinite(out.values))), " + _SCIPY_LOADED + ")\n"
     )
-    assert _run_python(code).splitlines() == ["[]", "True True"]
+    assert _run_python(code).splitlines() == ["True []"] * 3
 
 
 @pytest.mark.parametrize("kind", ["union", "intersection"])

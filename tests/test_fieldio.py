@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import perimeter_phase as pp
 from perimeter_phase import fieldio
+from conftest import damage_csv_lines
 
 
 def random_field(domain, seed=0, scale=0.7):
@@ -126,6 +127,20 @@ def test_csv_node_index_must_name_each_node_once(tmp_path, row, index):
     # and one past the grid escaped as IndexError
     path = _write_csv_with_index(tmp_path, row, index)
     with pytest.raises(OSError, match="field.csv: node index"):
+        fieldio.load_csv(path)
+
+
+@pytest.mark.parametrize("damage", ["short_row", "blank_line", "empty_file"])
+def test_csv_with_missing_cells_is_an_input_error(tmp_path, damage):
+    # these escaped as IndexError and StopIteration
+    domain = pp.Domain.interval(-1.0, 1.0, 4)
+    path = os.path.join(tmp_path, "field.csv")
+    fieldio.save_csv(random_field(domain, seed=71), path)
+    with open(path, "r", encoding="utf-8") as f:
+        lines = damage_csv_lines(f.read().split("\n"), damage)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines))
+    with pytest.raises(OSError, match="field.csv: "):
         fieldio.load_csv(path)
 
 
