@@ -22,11 +22,8 @@ from .potential import C0, c0, h, h_tilde, h_tilde_inverse, w, w_prime
 from .profiles1d import (
     TAIL_SLOPE_SQRT_THETA,
     TAIL_SLOPE_THETA,
-    Profile,
     SlopedProfile,
-    sloped_crossing_time,
     sloped_profile,
-    sloped_profile_value,
     tail_well_sup,
     transition_halfwidth,
     transition_profile,

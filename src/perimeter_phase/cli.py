@@ -12,6 +12,10 @@ subcommand in _TABLES (kind, seed and out, shared by all subcommands,
 are checked in parse_config itself).  parse_config checks a config
 against its table and writes the default of every absent optional key
 into it, so the runners read cfg[key] and state no default of their own.
+The library's own rules are not restated here: parse_config stores the
+Domain that Domain.from_dict builds, the regions of region_from_dict and
+the schedule of energy.epsilon_schedule, and adds only the CLI's policy
+(power-of-two grid sizes, interval-only subcommands, count bounds).
 
 Exit codes: 0 on success; 1 for bad input (config violations, domain or
 region errors, unreadable files); 2 when a construction's verified
@@ -48,12 +52,11 @@ from numpy.random import Generator, Philox
 
 from . import fieldio
 from . import energy as energy_mod
-from . import interpolation, minimize, profiles1d, recovery
+from . import interpolation, minimize, potential, profiles1d, recovery
 from .energy import PhaseState, ScalarField, SharpPair
-from .errors import ConfigError, PerimeterPhaseError
-from .geometry import Domain, region_from_dict
+from .errors import ConfigError, DomainError, PerimeterPhaseError
+from .geometry import Domain, _finite, region_from_dict
 
-_FLOAT = "%.17g"
 _CONTRACT_CODES = {"budget-exceeded", "infeasible-glue", "numeric"}
 _N_MIN = 2**6
 _N_MAX = 2**20
@@ -95,7 +98,7 @@ def _rng(seed: int) -> Generator:
 
 
 def _fmt(x: float) -> str:
-    return _FLOAT % float(x)
+    return fieldio.FLOAT_FMT % float(x)
 
 
 def _write_csv(path: str, header: List[str], rows: List[List[str]]) -> None:
@@ -103,12 +106,6 @@ def _write_csv(path: str, header: List[str], rows: List[List[str]]) -> None:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(row) + "\n")
-
-
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
-        f.write("\n")
 
 
 def _breakdown_dict(b) -> dict:
@@ -137,13 +134,9 @@ class _Rule(NamedTuple):
     default: object = _REQUIRED
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def _number(positive=False) -> Callable:
     def check(key, val, violations):
-        if not _is_number(val):
+        if not _finite(val):
             violations.append(f"{key} must be a finite number, got {val!r}")
         elif positive and not val > 0:
             violations.append(f"{key} must be positive, got {val}")
@@ -193,7 +186,7 @@ def _boolean(key, val, violations):
 
 
 def _kappa(key, val, violations):
-    if not _is_number(val):
+    if not _finite(val):
         violations.append(f"{key} must be a finite number, got {val!r}")
     elif not 0.0 < val < 1.0:
         violations.append(f"{key} must lie in (0, 1), got {float(val)}")
@@ -208,38 +201,22 @@ def _grid_n(key, n, violations):
         )
 
 
-def _is_point(x) -> bool:
-    return isinstance(x, (list, tuple)) and len(x) == 2 and all(_is_number(c) for c in x)
-
-
 def _domain(not_interval: Optional[str] = None) -> Callable:
-    """Domain check; not_interval, if given, is the violation for 2D kinds."""
+    """The Domain of the data, built only once the CLI's grid-size policy
+    holds; not_interval, if given, is the violation for 2D kinds."""
 
     def check(key, dom, violations):
-        if not isinstance(dom, dict):
-            violations.append(f"domain must be an object, got {dom!r}")
-            return
-        kind = dom.get("kind")
-        if kind not in ("interval", "box", "ball"):
-            violations.append(f"domain.kind must be interval, box, or ball, got {kind!r}")
-            return
-        if "n" in dom:
-            _grid_n("domain.n", dom["n"], violations)
-        else:
-            violations.append("missing required key 'domain.n'")
-        if kind == "ball":
-            if not _is_number(dom.get("radius")) or not dom["radius"] > 0:
-                violations.append("domain.radius must be a positive number")
-            if "center" in dom and not _is_point(dom["center"]):
-                violations.append(
-                    f"domain.center must be two finite numbers, got {dom['center']!r}"
-                )
-        else:
-            lo, hi = dom.get("lo"), dom.get("hi")
-            if not (_is_number(lo) and _is_number(hi) and lo < hi):
-                violations.append("domain needs numbers lo < hi")
-        if not_interval is not None and kind != "interval":
-            violations.append(not_interval)
+        found = len(violations)
+        if isinstance(dom, dict):
+            if "n" in dom:
+                _grid_n("domain.n", dom["n"], violations)
+            if not_interval is not None and dom.get("kind") in ("box", "ball"):
+                violations.append(not_interval)
+        if len(violations) == found:
+            try:
+                return Domain.from_dict(dom)
+            except DomainError as exc:
+                violations.append(str(exc))
 
     return check
 
@@ -252,19 +229,19 @@ def _region(key, val, violations):
 
 
 def _epsilons(key, eps, violations):
-    if not isinstance(eps, list) or not eps or not all(_is_number(e) for e in eps):
-        violations.append(f"{key} must be a nonempty list of numbers")
-    elif any(e <= 0 for e in eps):
-        violations.append(f"{key} must all be positive")
-    elif any(b >= a for a, b in zip(eps, eps[1:])):
-        violations.append(f"{key} must be strictly decreasing")
-    else:
-        return [float(e) for e in eps]
+    # NaN and inf pass here and fail in epsilon_schedule.
+    if not (isinstance(eps, list) and all(type(e) is float or _finite(e) for e in eps)):
+        violations.append(f"{key} must be a list of numbers")
+        return None
+    try:
+        return energy_mod.epsilon_schedule(eps)
+    except DomainError as exc:
+        violations.append(str(exc))
 
 
 def _boundary(key, bnd, violations):
-    ends = (bnd.get("left"), bnd.get("right")) if isinstance(bnd, dict) else ()
-    if not _is_point(ends):
+    ends = (bnd.get("left"), bnd.get("right")) if isinstance(bnd, dict) else (None, None)
+    if not _finite(*ends):
         violations.append(f"{key} must be an object with numbers left and right")
     elif not ends[0] < 0.0 < ends[1]:
         violations.append(f"{key} values must straddle zero, got left={ends[0]}, right={ends[1]}")
@@ -289,7 +266,6 @@ _TABLES: Dict[str, Dict[str, _Rule]] = {
         "profile_kind": _Rule(_choice("standard", "linear_tail"), "standard"),
         "theta": _Rule(None, 0.0),
         "convention": _CONVENTION,
-        "kappa": _KAPPA,
         "s_max": _POSITIVE,
         "count": _Rule(_integer(2, _PROFILE_COUNT_MAX), 1001),
     },
@@ -415,17 +391,15 @@ def parse_config(kind: str, cfg: dict) -> dict:
 
 
 def _run_profile(cfg: dict, out_dir: str, rng) -> List[str]:
-    prof = profiles1d.Profile(
-        epsilon=cfg["epsilon"],
-        kind=cfg["profile_kind"],
-        theta=cfg["theta"],
-        convention=cfg["convention"],
-        kappa=cfg["kappa"],
-    )
+    epsilon = cfg["epsilon"]
     s = np.linspace(-cfg["s_max"], cfg["s_max"], cfg["count"])
-    value = np.asarray(prof.value(s), dtype=float)
-    deriv = np.asarray(prof.derivative(s), dtype=float)
-    well = np.asarray(prof.well_density(s), dtype=float)
+    if cfg["profile_kind"] == "standard":
+        value = profiles1d.transition_profile(epsilon, s)
+        deriv = profiles1d.transition_profile_derivative(epsilon, s)
+    else:
+        prof = profiles1d.sloped_profile(epsilon, cfg["theta"], cfg["convention"])
+        value, deriv = prof.value(s), prof.derivative(s)
+    well = potential.w(value / math.sqrt(epsilon)) / epsilon
     rows = [
         [_fmt(s[i]), _fmt(value[i]), _fmt(deriv[i]), _fmt(well[i])]
         for i in range(len(s))
@@ -444,14 +418,14 @@ def _run_energy(cfg: dict, out_dir: str, rng) -> List[str]:
     payload["tv_phase"] = energy_mod.tv_phase(state)
     payload["phase_band_measure"] = energy_mod.phase_band_measure(state)
     path = os.path.join(out_dir, "energy.json")
-    _write_json(path, payload)
+    fieldio.write_json(path, payload)
     return [path]
 
 
 def _recovery_input(cfg: dict):
     if "field" in cfg:
         return fieldio.load_field(cfg["field"])
-    domain = Domain.from_dict(cfg["domain"])
+    domain = cfg["domain"]
     if cfg["builtin"] == "zero":
         vals = np.zeros(domain.node_shape)
     elif cfg["builtin"] == "constant":
@@ -534,14 +508,13 @@ def _run_glue(cfg: dict, out_dir: str, rng) -> List[str]:
         "phase_l1_gap_outside": report.phase_l1_gap_outside,
     }
     path = os.path.join(out_dir, "glue.json")
-    _write_json(path, payload)
+    fieldio.write_json(path, payload)
     return [path, dump]
 
 
 def _run_barrier(cfg: dict, out_dir: str, rng) -> List[str]:
-    domain = Domain.from_dict(cfg["domain"])
     result = interpolation.build_barrier(
-        domain,
+        cfg["domain"],
         interface_radius=cfg["interface_radius"],
         bound_m=cfg["bound_m"],
         epsilon=cfg["epsilon"],
@@ -559,7 +532,7 @@ def _run_barrier(cfg: dict, out_dir: str, rng) -> List[str]:
         "within_bound": result.energy.total <= result.bound,
     }
     path = os.path.join(out_dir, "barrier.json")
-    _write_json(path, payload)
+    fieldio.write_json(path, payload)
     return [path, dump]
 
 
@@ -570,7 +543,7 @@ def _initial_state(cfg: dict) -> PhaseState:
     if initial not in _STARTS:
         field = fieldio.load_field(initial)
         return PhaseState(field, epsilon, max(bound_m, float(np.max(np.abs(field.values)))))
-    domain = Domain.from_dict(cfg["domain"])
+    domain = cfg["domain"]
     left, right = cfg["boundary"]["left"], cfg["boundary"]["right"]
     x = domain.nodes_x
     if initial == "linear":
@@ -603,14 +576,13 @@ def _run_minimize(cfg: dict, out_dir: str, rng) -> List[str]:
             float(x) for x in minimize.sign_change_locations(result.state.field)
         ]
     path = os.path.join(out_dir, "minimize.json")
-    _write_json(path, payload)
+    fieldio.write_json(path, payload)
     return [path, dump]
 
 
 def _run_sweep(cfg: dict, out_dir: str, rng) -> List[str]:
-    domain = Domain.from_dict(cfg["domain"])
     entries = minimize.continuation_sweep(
-        domain,
+        cfg["domain"],
         epsilons=cfg["epsilons"],
         left_value=cfg["boundary"]["left"],
         right_value=cfg["boundary"]["right"],
@@ -648,7 +620,7 @@ def _run_oracle1d(cfg: dict, out_dir: str, rng) -> List[str]:
         "knot_y": [float(y) for y in oracle.knot_y],
     }
     path = os.path.join(out_dir, "oracle1d.json")
-    _write_json(path, payload)
+    fieldio.write_json(path, payload)
     return [path]
 
 
@@ -716,7 +688,7 @@ def _run_harmonic_check(cfg: dict, out_dir: str, rng) -> List[str]:
         "all_strict_drop": bool(min(margins) > 0.0),
     }
     json_path = os.path.join(out_dir, "harmonic.json")
-    _write_json(json_path, summary)
+    fieldio.write_json(json_path, summary)
     return [csv_path, json_path]
 
 

@@ -89,10 +89,11 @@ class PhaseState:
 
 
 def epsilon_schedule(epsilons: Sequence[float]) -> List[float]:
-    """The scales of a continuation as floats: nonempty, positive, strictly decreasing."""
+    """The scales of a continuation as floats: nonempty, finite, positive, strictly decreasing."""
     eps = [float(e) for e in epsilons]
-    if not eps or any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise DomainError("epsilons must be nonempty, positive and strictly decreasing")
+    # inf > eps[0] > ... > eps[-1] > 0, which no NaN passes.
+    if not eps or not all(a > b for a, b in zip([math.inf] + eps, eps + [0.0])):
+        raise DomainError("epsilons must be nonempty, finite, positive and strictly decreasing")
     return eps
 
 

@@ -1,11 +1,16 @@
-"""Reading and writing grid fields.
+"""Reading and writing grid fields, and the output formats they share.
 
 Two formats, both with a JSON sidecar describing the grid:
 
 * raw binary: little-endian float64 node values in C order, sidecar at
   path + ".json";
 * CSV: header row then one row per node with index, coordinates, and the
-  value printed with %.17g (lossless for float64).
+  value printed with FLOAT_FMT.
+
+Floats print with FLOAT_FMT, %.17g (lossless for float64), and JSON files,
+sidecars included, are written by write_json with sorted keys.  A sidecar
+that is not a JSON object holding a "domain" object raises OSError naming
+the file; a domain object that Domain.from_dict rejects raises DomainError.
 """
 
 from __future__ import annotations
@@ -18,11 +23,17 @@ import numpy as np
 from .energy import ScalarField
 from .geometry import Domain
 
-_FLOAT_FMT = "%.17g"
+FLOAT_FMT = "%.17g"
 
 
 def _sidecar_path(path: str) -> str:
     return path + ".json"
+
+
+def write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, sort_keys=True, indent=2)
+        f.write("\n")
 
 
 def _write_sidecar(domain: Domain, path: str) -> None:
@@ -33,14 +44,15 @@ def _write_sidecar(domain: Domain, path: str) -> None:
         "shape": list(domain.node_shape),
         "domain": domain.to_dict(),
     }
-    with open(_sidecar_path(path), "w", encoding="utf-8") as f:
-        json.dump(meta, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(_sidecar_path(path), meta)
 
 
 def _read_sidecar(path: str) -> Domain:
-    with open(_sidecar_path(path), "r", encoding="utf-8") as f:
+    sidecar = _sidecar_path(path)
+    with open(sidecar, "r", encoding="utf-8") as f:
         meta = json.load(f)
+    if not isinstance(meta, dict) or not isinstance(meta.get("domain"), dict):
+        raise OSError(f"{sidecar}: expected a JSON object holding a domain object")
     return Domain.from_dict(meta["domain"])
 
 
@@ -67,7 +79,7 @@ def save_csv(field: ScalarField, path: str) -> None:
         if domain.dim == 1:
             writer.writerow(["index", "x", "value"])
             for i, (x, v) in enumerate(zip(domain.nodes_x, field.values)):
-                writer.writerow([i, _FLOAT_FMT % x, _FLOAT_FMT % v])
+                writer.writerow([i, FLOAT_FMT % x, FLOAT_FMT % v])
         else:
             writer.writerow(["index", "x", "y", "value"])
             flat_x = domain.nodes_x.ravel()
@@ -75,7 +87,7 @@ def save_csv(field: ScalarField, path: str) -> None:
             flat_v = field.values.ravel()
             for i in range(flat_v.size):
                 writer.writerow(
-                    [i, _FLOAT_FMT % flat_x[i], _FLOAT_FMT % flat_y[i], _FLOAT_FMT % flat_v[i]]
+                    [i, FLOAT_FMT % flat_x[i], FLOAT_FMT % flat_y[i], FLOAT_FMT % flat_v[i]]
                 )
     _write_sidecar(field.domain, path)
 

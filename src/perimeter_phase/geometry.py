@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Tuple
@@ -26,6 +28,15 @@ import numpy as np
 from .errors import DomainError, UnsupportedRegionError
 
 _DOMAIN_KINDS = ("interval", "box", "ball")
+
+
+def _finite(*xs) -> bool:
+    """Whether each x is a number in float range: not a bool, NaN or infinite."""
+    return all(
+        isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+        for x in xs
+    )
+
 
 # Process-wide, because a pipeline builds the same grid many times (every
 # field file read back carries its domain).  Holds the read-only grid
@@ -63,31 +74,38 @@ class Domain:
 
     def __post_init__(self):
         if self.kind not in _DOMAIN_KINDS:
-            raise DomainError(f"unknown domain kind {self.kind!r}")
-        if int(self.n) != self.n or self.n < 2:
-            raise DomainError(f"n must be an integer >= 2, got {self.n}")
+            raise DomainError(f"domain.kind must be interval, box, or ball, got {self.kind!r}")
+        if not (_finite(self.n) and int(self.n) == self.n >= 2):
+            raise DomainError(f"domain.n must be an integer >= 2, got {self.n!r}")
+        if not (isinstance(self.center, (list, tuple)) and len(self.center) == 2
+                and _finite(*self.center)):
+            raise DomainError(f"domain.center must be two finite numbers, got {self.center!r}")
+        if self.kind == "ball":
+            if not (_finite(self.radius) and self.radius > 0):
+                raise DomainError(
+                    f"domain.radius must be a positive finite number, got {self.radius!r}"
+                )
+            self.lo, self.hi = -self.radius, self.radius
+        elif not (_finite(self.lo, self.hi) and self.lo < self.hi):
+            raise DomainError(
+                f"domain needs finite numbers lo < hi, got lo={self.lo!r}, hi={self.hi!r}"
+            )
         self.n = int(self.n)
         self.center = (float(self.center[0]), float(self.center[1]))
-        self.radius = float(self.radius)
-        if self.kind == "ball":
-            if not (self.radius > 0):
-                raise DomainError(f"ball radius must be positive, got {self.radius}")
-            self.lo = -self.radius
-            self.hi = self.radius
-        else:
-            self.lo = float(self.lo)
-            self.hi = float(self.hi)
-            if not (self.hi > self.lo):
-                raise DomainError(f"need hi > lo, got [{self.lo}, {self.hi}]")
+        self.lo, self.hi, self.radius = float(self.lo), float(self.hi), float(self.radius)
+        if not 0.0 < (self.hi - self.lo) / self.n < math.inf:
+            raise DomainError(
+                f"domain [{self.lo}, {self.hi}] has no finite positive cell width at n = {self.n}"
+            )
         self._build()
 
     @classmethod
     def interval(cls, a: float = -1.0, b: float = 1.0, n: int = 256) -> "Domain":
-        return cls(kind="interval", n=n, lo=float(a), hi=float(b))
+        return cls(kind="interval", n=n, lo=a, hi=b)
 
     @classmethod
     def box(cls, lo: float = -1.0, hi: float = 1.0, n: int = 256) -> "Domain":
-        return cls(kind="box", n=n, lo=float(lo), hi=float(hi))
+        return cls(kind="box", n=n, lo=lo, hi=hi)
 
     @classmethod
     def ball(
@@ -96,7 +114,7 @@ class Domain:
         n: int = 256,
         center: Tuple[float, float] = (0.0, 0.0),
     ) -> "Domain":
-        return cls(kind="ball", n=n, center=center, radius=float(radius))
+        return cls(kind="ball", n=n, center=center, radius=radius)
 
     # Derived grid data are plain attributes, not dataclass fields, so
     # equality and repr stay parameter-based.
@@ -140,19 +158,19 @@ class Domain:
         return {"kind": self.kind, "n": self.n, "lo": self.lo, "hi": self.hi}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Domain":
+    def from_dict(cls, data) -> "Domain":
+        """The domain that ``to_dict`` wrote; DomainError for any other data."""
+        if not isinstance(data, dict):
+            raise DomainError(f"domain must be an object, got {data!r}")
         kind = data.get("kind")
-        if kind == "ball":
-            return cls.ball(
-                radius=data["radius"],
-                n=data["n"],
-                center=tuple(data.get("center", (0.0, 0.0))),
-            )
-        if kind == "interval":
-            return cls.interval(data["lo"], data["hi"], data["n"])
-        if kind == "box":
-            return cls.box(data["lo"], data["hi"], data["n"])
-        raise DomainError(f"unknown domain kind {kind!r}")
+        if kind not in _DOMAIN_KINDS:
+            raise DomainError(f"domain.kind must be interval, box, or ball, got {kind!r}")
+        required = ("n", "radius") if kind == "ball" else ("n", "lo", "hi")
+        for key in required:
+            if key not in data:
+                raise DomainError(f"missing required key 'domain.{key}'")
+        keys = required + ("center",) if kind == "ball" else required
+        return cls(kind=kind, **{key: data[key] for key in keys if key in data})
 
 
 def _build_grid(domain: Domain) -> dict:

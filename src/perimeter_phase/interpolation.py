@@ -109,15 +109,14 @@ class GlueReport:
 def _radial_nodes(domain: Domain) -> np.ndarray:
     if domain.dim == 1:
         return np.abs(domain.nodes_x)
-    cx, cy = domain.center if domain.kind == "ball" else (0.0, 0.0)
+    cx, cy = domain.center
     return np.hypot(domain.axis_x[:, None] - cx, domain.axis_y - cy)
 
 
 def _ball_region(domain: Domain, radius: float) -> Region:
     if domain.dim == 1:
         return IntervalUnion(((-radius, radius),))
-    center = domain.center if domain.kind == "ball" else (0.0, 0.0)
-    return Disc(center, radius)
+    return Disc(domain.center, radius)
 
 
 def _check_glue_domain(domain: Domain, spec: AnnulusSpec) -> None:

@@ -223,61 +223,3 @@ def sloped_profile(
 ) -> SlopedProfile:
     """A new :class:`SlopedProfile`; its closed form builds in microseconds."""
     return SlopedProfile(float(epsilon), float(theta), convention)
-
-
-def sloped_profile_value(epsilon, theta, s, convention: str = TAIL_SLOPE_THETA):
-    return sloped_profile(epsilon, theta, convention).value(s)
-
-
-def sloped_crossing_time(
-    epsilon: float, theta: float, convention: str = TAIL_SLOPE_THETA
-) -> float:
-    """Time at which the sloped profile reaches sqrt(eps) exactly."""
-    return sloped_profile(epsilon, theta, convention).crossing_time
-
-
-@dataclass(frozen=True)
-class Profile:
-    """Uniform handle over both profile kinds.
-
-    kind "standard" evaluates the closed-form transition profile; kind
-    "linear_tail" evaluates a sloped profile with the given theta and
-    convention.  halfwidth reports the transition half-width: the
-    kappa-band width for the standard kind, the exact band-edge crossing
-    time for the linear-tail kind.  well_density(s) is the well term
-    w(value / sqrt(eps)) / eps of the energy density along the profile.
-    """
-
-    epsilon: float
-    kind: str = "standard"
-    theta: float = 0.0
-    convention: str = TAIL_SLOPE_THETA
-    kappa: float = 0.1
-
-    def __post_init__(self):
-        if self.kind not in ("standard", "linear_tail"):
-            raise DomainError(f"unknown profile kind {self.kind!r}")
-        _check_epsilon(self.epsilon)
-        if self.kind == "linear_tail" and not (self.theta > 0):
-            raise DomainError("linear_tail profiles need theta > 0")
-
-    @property
-    def halfwidth(self) -> float:
-        if self.kind == "standard":
-            return transition_halfwidth(self.epsilon, self.kappa)
-        return sloped_crossing_time(self.epsilon, self.theta, self.convention)
-
-    def value(self, s):
-        if self.kind == "standard":
-            return transition_profile(self.epsilon, s)
-        return sloped_profile(self.epsilon, self.theta, self.convention).value(s)
-
-    def derivative(self, s):
-        if self.kind == "standard":
-            return transition_profile_derivative(self.epsilon, s)
-        return sloped_profile(self.epsilon, self.theta, self.convention).derivative(s)
-
-    def well_density(self, s):
-        val = np.asarray(self.value(s), dtype=float)
-        out = potential.w(val / math.sqrt(self.epsilon)) / self.epsilon
-        return float(out) if np.ndim(out) == 0 else out

@@ -81,7 +81,7 @@ def minimal_configs(path):
         "profile": (
             {"epsilon": 1e-2, "s_max": 1.0},
             {"profile_kind": "standard", "theta": 0.0, "convention": "tail_slope_theta",
-             "kappa": 0.1, "count": 1001},
+             "count": 1001},
         ),
         "energy": ({"field": path, "epsilon": 1e-1}, {"region": None}),
         "recovery": (
@@ -115,7 +115,7 @@ def full_configs(path):
     ball = {"kind": "ball", "radius": 1.0, "n": 64, "center": [0.1, 0.0]}
     return {
         "profile": {"epsilon": 1e-2, "s_max": 1.0, "profile_kind": "linear_tail", "theta": 0.5,
-                    "convention": "tail_slope_sqrt_theta", "kappa": 0.2, "count": 11},
+                    "convention": "tail_slope_sqrt_theta", "count": 11},
         "energy": {"field": path, "epsilon": 1e-1, "region": HALF_LINE},
         "recovery": {"field": path, "builtin": "constant", "value": 0.5, "domain": INTERVAL,
                      "region": HALF_LINE, "epsilons": [1e-1, 1e-2], "kappa": 0.2,
@@ -196,7 +196,7 @@ def test_profile_linear_tail_table(tmp_path):
     assert np.array_equal(s, -s[::-1])
     assert np.array_equal(value, -value[::-1])
     assert np.all(np.diff(value) > 0.0)
-    tail = np.abs(s) > pp.sloped_crossing_time(1e-2, 160.0)
+    tail = np.abs(s) > pp.sloped_profile(1e-2, 160.0).crossing_time
     assert 0 < np.count_nonzero(tail) < len(s)
     assert np.all(deriv[tail] == 160.0)
 
@@ -473,6 +473,13 @@ def test_count_above_its_bound_is_a_config_error(tmp_path, capsys, kind, payload
     assert not out.exists()
 
 
+def test_integer_beyond_float_range_is_a_config_error(tmp_path, capsys):
+    # math.isfinite(10**400) raised OverflowError out of cli.main.
+    assert run(tmp_path, "oracle1d", {"a": 10**400, "b": 2.0}) == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "a must be a finite number, got 1000" in err
+
+
 def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "o.json", {"a": 1.0, "b": 2.0})
     out = tmp_path / "out"
@@ -533,6 +540,110 @@ def test_malformed_ball_center_is_a_config_error(tmp_path, capsys, center):
     err = capsys.readouterr().err
     assert "error[config]" in err
     assert f"domain.center must be two finite numbers, got {center!r}" in err
+
+
+def test_profile_kappa_is_an_unknown_key(tmp_path, capsys):
+    assert run(tmp_path, "profile", {"epsilon": 1e-2, "s_max": 1.0, "kappa": 0.1}) == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert "unknown key 'kappa'" in err
+    assert not (tmp_path / "profile.csv").exists()
+
+
+BALL = {"kind": "ball", "radius": 1.0, "n": 64}
+
+
+@pytest.mark.parametrize(
+    "domain, message",
+    [
+        ([], "domain must be an object, got []"),
+        (dict(BALL, kind=["ball"]), "domain.kind must be interval, box, or ball, got ['ball']"),
+        ({"kind": "ball", "n": 64}, "missing required key 'domain.radius'"),
+        (dict(BALL, radius=float("nan")), "domain.radius must be a positive finite number"),
+        (dict(INTERVAL, lo=float("-inf")), "domain needs finite numbers lo < hi, got lo=-inf"),
+        (dict(INTERVAL, hi="1"), "domain needs finite numbers lo < hi"),
+    ],
+    ids=["list", "kind_list", "no_radius", "nan_radius", "infinite_lo", "string_hi"],
+)
+def test_malformed_config_domain_is_a_config_error(tmp_path, capsys, domain, message):
+    payload = {"domain": domain, "interface_radius": 0.5, "epsilon": 1e-2}
+    assert run(tmp_path, "barrier", payload) == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err and message in err
+    assert not (tmp_path / "barrier.f64").exists()
+
+
+@pytest.mark.parametrize(
+    "epsilons, message",
+    [
+        ([0.1, float("nan"), 0.01], "finite, positive and strictly decreasing"),
+        ([float("inf"), 0.1], "finite, positive and strictly decreasing"),
+        ([], "epsilons must be nonempty"),
+        ([0.1, True], "epsilons must be a list of numbers"),
+        ([10**400], "epsilons must be a list of numbers"),
+    ],
+    ids=["nan", "inf", "empty", "bool", "huge_int"],
+)
+def test_malformed_epsilons_are_a_config_error(tmp_path, capsys, epsilons, message):
+    payload = {"domain": INTERVAL, "epsilons": epsilons, "bound_m": 1.0, "boundary": BOUNDARY}
+    assert run(tmp_path, "sweep", payload) == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err and message in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+_DROP = object()
+
+
+def _without(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+def _with_domain(**changes):
+    """A sidecar edit: set the domain's keys to changes, dropping those set to _DROP."""
+    return lambda meta: dict(meta, domain={k: v for k, v in {**meta["domain"], **changes}.items()
+                                           if v is not _DROP})
+
+
+# Each of these escaped cli.main as a KeyError, TypeError, IndexError or AttributeError.
+SIDECAR_DAMAGE = {
+    "no_domain": (_without("domain"), "error[input]"),
+    "domain_list": (lambda meta: dict(meta, domain=[]), "error[input]"),
+    "no_n": (_with_domain(n=_DROP), "error[domain]"),
+    "null_n": (_with_domain(n=None), "error[domain]"),
+    "one_number_center": (_with_domain(center=[0.0]), "error[domain]"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(SIDECAR_DAMAGE))
+def test_malformed_sidecar_exits_one(tmp_path, capsys, damage):
+    domain = pp.Domain.ball(1.0, 64)
+    path = tmp_path / "field.f64"
+    fieldio.save_binary(pp.ScalarField(domain, np.zeros(domain.node_shape)), str(path))
+    sidecar = tmp_path / "field.f64.json"
+    change, tag = SIDECAR_DAMAGE[damage]
+    sidecar.write_text(json.dumps(change(json.loads(sidecar.read_text()))))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "energy.json", {"field": str(path), "epsilon": 1e-1})
+    assert main(["energy", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(tag) and "Traceback" not in err
+    assert not (out / "energy.json").exists()
+
+
+def test_sidecar_with_an_infinite_extent_exits_one(tmp_path, capsys):
+    # This ran, exited 0 and wrote "total": NaN.
+    domain = pp.Domain.interval(-1.0, 1.0, 64)
+    path = tmp_path / "field.f64"
+    fieldio.save_binary(pp.ScalarField(domain, np.zeros(domain.node_shape)), str(path))
+    sidecar = tmp_path / "field.f64.json"
+    sidecar.write_text(json.dumps(_with_domain(lo=float("-inf"))(json.loads(sidecar.read_text()))))
+    assert "-Infinity" in sidecar.read_text()
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "energy.json", {"field": str(path), "epsilon": 1e-1})
+    assert main(["energy", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error[domain]")
+    assert not (out / "energy.json").exists()
 
 
 @pytest.mark.parametrize("region", ["x", 5, [1], None])

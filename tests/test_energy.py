@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import perimeter_phase as pp
-from perimeter_phase import geometry
+from perimeter_phase import energy, geometry, minimize, recovery
 from perimeter_phase.errors import (
     DomainError,
     InvalidPairError,
@@ -363,3 +363,29 @@ def test_cell_density_only_reads_its_inputs():
             dens = _cell_density(values, h, eps)
             assert dens.shape == dom.cell_weights.shape
             assert not np.shares_memory(dens, values)
+
+
+NON_FINITE_SCHEDULES = [[math.nan], [0.1, math.nan, 0.01], [math.inf, 0.1]]
+
+
+@pytest.mark.parametrize("epsilons", NON_FINITE_SCHEDULES)
+def test_epsilon_schedule_rejects_non_finite_scales(epsilons):
+    with pytest.raises(DomainError, match="finite"):
+        energy.epsilon_schedule(epsilons)
+
+
+@pytest.mark.parametrize("epsilons", NON_FINITE_SCHEDULES)
+def test_schedule_users_reject_non_finite_scales_before_any_work(epsilons, monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("a scale was computed before the schedule was checked")
+
+    monkeypatch.setattr(minimize, "minimize_e_eps", work)
+    monkeypatch.setattr(recovery, "build_recovery", work)
+    dom = pp.Domain.interval(-1.0, 1.0, 64)
+    with pytest.raises(DomainError, match="finite"):
+        pp.continuation_sweep(dom, epsilons, -1.0, 1.0, bound_m=1.0)
+    pair = pp.SharpPair(
+        pp.ScalarField(dom, np.zeros(dom.node_shape)), region=pp.IntervalUnion(((0.0, np.inf),))
+    )
+    with pytest.raises(DomainError, match="finite"):
+        pp.recovery_curve(pair, epsilons)

@@ -144,6 +144,17 @@ def test_csv_with_missing_cells_is_an_input_error(tmp_path, damage):
         fieldio.load_csv(path)
 
 
+@pytest.mark.parametrize("meta", [[1], {"n": 32}, {"domain": []}, {"domain": None}])
+def test_sidecar_without_a_domain_object_is_an_input_error(tmp_path, meta):
+    domain = pp.Domain.interval(-1.0, 1.0, 32)
+    path = os.path.join(tmp_path, "field.f64")
+    fieldio.save_binary(random_field(domain, seed=5), path)
+    with open(path + ".json", "w", encoding="utf-8") as f:
+        json.dump(meta, f)
+    with pytest.raises(OSError, match="field.f64.json: "):
+        fieldio.load_field(path)
+
+
 def test_load_field_dispatch(tmp_path):
     domain = pp.Domain.interval(-1.0, 1.0, 16)
     field = random_field(domain, seed=59)

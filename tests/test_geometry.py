@@ -82,6 +82,50 @@ def test_domain_rejects_bad_input():
         pp.Domain.interval(-1.0, 1.0, 0)
     with pytest.raises(DomainError):
         pp.Domain.ball(-2.0, 8)
+    for lo, hi in ((-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0), (-1.0, math.nan)):
+        with pytest.raises(DomainError):
+            pp.Domain.interval(lo, hi, 8)
+        with pytest.raises(DomainError):
+            pp.Domain.box(lo, hi, 8)
+    for radius in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            pp.Domain.ball(radius, 8)
+    for center in ((math.nan, 0.0), (0.0, -math.inf), (0.0,)):
+        with pytest.raises(DomainError):
+            pp.Domain.ball(1.0, 8, center)
+
+
+# JSON values a domain object may hold in place of a good one.
+_JSON_JUNK = st.sampled_from([None, "1", [], {}, True, math.inf, -math.inf, math.nan])
+_JSON_VALUE = st.one_of(_JSON_JUNK, st.integers(-3, 40), st.floats(-1e6, 1e6))
+
+
+@st.composite
+def domain_data(draw):
+    """A JSON-like domain object with some keys dropped, or something else."""
+    data = {
+        "kind": draw(st.one_of(st.sampled_from(("interval", "box", "ball")), _JSON_JUNK)),
+        "n": draw(st.one_of(_JSON_JUNK, st.integers(-3, 40), st.floats(-3.0, 40.0))),
+        "lo": draw(_JSON_VALUE),
+        "hi": draw(_JSON_VALUE),
+        "radius": draw(_JSON_VALUE),
+        "center": draw(st.one_of(_JSON_VALUE, st.lists(_JSON_VALUE, max_size=3))),
+    }
+    dropped = draw(st.sets(st.sampled_from(sorted(data))))
+    return draw(st.one_of(st.just({k: v for k, v in data.items() if k not in dropped}), _JSON_JUNK))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=domain_data())
+def test_domain_from_dict_builds_a_finite_grid_or_raises_domain_error(data):
+    try:
+        domain = pp.Domain.from_dict(data)
+    except DomainError:
+        return
+    assert 0.0 < domain.h < math.inf
+    for array in grid_arrays(domain):
+        assert array.dtype == bool or np.all(np.isfinite(array))
+    assert pp.Domain.from_dict(domain.to_dict()) == domain
 
 
 def test_domain_dict_roundtrip():

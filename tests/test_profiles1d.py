@@ -172,14 +172,6 @@ def test_sloped_profile_odd_and_monotone():
     assert np.all(d > 0.0)
 
 
-def test_sloped_profile_helpers_agree():
-    assert pp.sloped_crossing_time(1e-2, 4.0) == pp.sloped_profile(1e-2, 4.0).crossing_time
-    s = np.array([0.0, 0.01, 0.5])
-    assert np.allclose(
-        pp.sloped_profile_value(1e-2, 4.0, s), pp.sloped_profile(1e-2, 4.0).value(s)
-    )
-
-
 THETA, SQRT_THETA = pp.TAIL_SLOPE_THETA, pp.TAIL_SLOPE_SQRT_THETA
 # (epsilon, theta, convention) with k = c * eps between 1e-3 and 1e4.
 SLOPED_CASES = [
@@ -339,19 +331,3 @@ def test_sloped_profile_rejects_bad_parameters():
         pp.sloped_profile(1e-2, 0.0)
     with pytest.raises(DomainError):
         pp.sloped_profile(1e-2, 2.0, "no_such_convention")
-
-
-def test_profile_facade_dispatch():
-    s = np.linspace(-0.3, 0.3, 101)
-    standard = pp.Profile(epsilon=1e-2)
-    assert np.allclose(standard.value(s), pp.transition_profile(1e-2, s))
-    assert np.allclose(
-        standard.derivative(s), pp.transition_profile_derivative(1e-2, s)
-    )
-    assert standard.halfwidth == pp.transition_halfwidth(1e-2, 0.1)
-    sloped = pp.Profile(epsilon=1e-2, kind="linear_tail", theta=6.0)
-    assert np.allclose(sloped.value(s), pp.sloped_profile(1e-2, 6.0).value(s))
-    dens = sloped.well_density(s)
-    assert np.all(dens >= 0.0)
-    with pytest.raises(DomainError):
-        pp.Profile(epsilon=1e-2, kind="nope")
