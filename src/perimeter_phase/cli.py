@@ -21,21 +21,22 @@ Exit codes: 0 on success; 1 for bad input (config violations, domain or
 region errors, unreadable files); 2 when a construction's verified
 contract fails (budget exceeded, infeasible annulus, numerical guard).
 
-The embarrassingly parallel experiments (recovery curves and the
-harmonic-replacement check) run on a thread pool through _map_chunks.
-It cuts the items into min(workers, len(items)) contiguous chunks of
-near-equal length and submits one task per chunk, so the pool's
-hand-over is paid once per worker rather than once per item.  Results
-are joined in input order, so the thread count never changes the output
-bytes, and when items fail the exception raised is that of the first
-failing item in input order.  The pool has one worker per CPU this
-process may run on (os.sched_getaffinity where it exists, os.cpu_count
-elsewhere), at most 4.
+Only the harmonic-replacement check runs on a thread pool, through
+_map_chunks: one task per contiguous chunk of near-equal length, at most
+one chunk per worker.  Results are joined in input order, so the thread
+count never changes the output bytes, and when items fail the exception
+raised is that of the first failing item in input order.  The pool has
+one worker per CPU this process may run on (os.sched_getaffinity where
+it exists, os.cpu_count elsewhere), at most 4.  Recovery builds its
+scales in turn and dumps each as it is built: on the pool two builds
+overlapped, and the benchmark's construct2d pipeline peaked at about
+73 MB of RSS instead of 58 MB, and was no faster.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -91,6 +92,20 @@ def _map_chunks(fn: Callable, items: Sequence) -> list:
         # A chunk stops at its first failing item, and result() raises the
         # first failing chunk's exception: the first failing item's.
         return [y for future in futures for y in future.result()]
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc keep freed grid arrays in its heap for reuse.
+
+    By default glibc trims freed arrays off the heap top, so later grid
+    temporaries fault their pages in again: construct2d took 21k to 54k
+    minor faults (up to a third more wall time) by heap layout alone, and
+    takes about 5k with arrays up to 32 MB kept in a heap trimmed past 64 MB.
+    """
+    libc = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+    if hasattr(libc, "mallopt"):
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def _rng(seed: int) -> Generator:
@@ -438,15 +453,10 @@ def _recovery_input(cfg: dict):
 def _run_recovery(cfg: dict, out_dir: str, rng) -> List[str]:
     pair = SharpPair(field=_recovery_input(cfg), region=cfg["region"], bound_m=cfg["bound_m"])
     sharp_total = energy_mod.sharp_energy(pair).total
-
-    def build(e: float):
-        return recovery.build_recovery(pair, e, cfg["kappa"])
-
-    results = _map_chunks(build, cfg["epsilons"])
-
     rows = []
     written = []
-    for i, (state, report) in enumerate(results):
+    for i, e in enumerate(cfg["epsilons"]):
+        state, report = recovery.build_recovery(pair, e, cfg["kappa"])
         rows.append(
             [
                 _fmt(report.epsilon),
@@ -462,6 +472,7 @@ def _run_recovery(cfg: dict, out_dir: str, rng) -> List[str]:
             dump = os.path.join(out_dir, f"recovery_{i:03d}.f64")
             fieldio.save_binary(state.field, dump)
             written.append(dump)
+        del state  # one scale's state at a time: free it before the next build
     path = os.path.join(out_dir, "recovery.csv")
     _write_csv(
         path,
@@ -599,15 +610,16 @@ def _run_sweep(cfg: dict, out_dir: str, rng) -> List[str]:
             _fmt(e.tv),
             _fmt(e.interface),
             _fmt(e.l2_gap_to_oracle),
+            str(e.iterations),
+            "1" if e.converged else "0",
+            _fmt(e.grad_sup),
         ]
         for e in entries
     ]
     path = os.path.join(out_dir, "sweep.csv")
-    _write_csv(
-        path,
-        ["epsilon", "total", "dirichlet", "well", "tv_phase", "interface_x", "l2_gap_to_oracle"],
-        rows,
-    )
+    header = ["epsilon", "total", "dirichlet", "well", "tv_phase", "interface_x"]
+    header += ["l2_gap_to_oracle", "iterations", "converged", "grad_sup"]
+    _write_csv(path, header, rows)
     return [path]
 
 
@@ -722,6 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_freed_heap()
     try:
         with open(args.config, "r", encoding="utf-8") as f:
             cfg = json.load(f)

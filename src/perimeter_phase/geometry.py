@@ -138,8 +138,7 @@ class Domain:
                 np.minimum(x - self.lo, self.hi - x),
                 np.minimum(y - self.lo, self.hi - y),
             )
-        cx, cy = self.center
-        return self.radius - np.hypot(x - cx, y - cy)
+        return Disc(self.center, self.radius).signed_distance(x, y)
 
     def node_points(self):
         """Node coordinates: x array, or (x, y) arrays in 2D."""
@@ -171,6 +170,12 @@ class Domain:
                 raise DomainError(f"missing required key 'domain.{key}'")
         keys = required + ("center",) if kind == "ball" else required
         return cls(kind=kind, **{key: data[key] for key in keys if key in data})
+
+
+def _compact(a: np.ndarray) -> np.ndarray:
+    """a cut to length one along each zero-stride axis, which turns a grid's
+    coordinate views into its axes; the result broadcasts back to a."""
+    return a[tuple(slice(0, 1) if stride == 0 else slice(None) for stride in a.strides)]
 
 
 def _build_grid(domain: Domain) -> dict:
@@ -210,13 +215,8 @@ def _build_grid(domain: Domain) -> dict:
             cell_w = np.full((n, n), h * h)
             measure = (domain.hi - domain.lo) ** 2
         else:
-            # Named to live until the return: freed early, they let malloc trim
-            # the heap, and construct2d faults ~17k more pages (~10% of its wall).
-            sd = domain.signed_distance(cell_x, cell_y)
-            frac = np.clip(0.5 + sd / h, 0.0, 1.0)
-            cell_w = h * h * frac
-            node_sd = domain.signed_distance(nodes_x, nodes_y)
-            boundary |= node_sd <= 0.0
+            cell_w = h * h * np.clip(0.5 + domain.signed_distance(cell_x, cell_y) / h, 0.0, 1.0)
+            boundary |= domain.signed_distance(nodes_x, nodes_y) <= 0.0
             measure = math.pi * domain.radius**2
 
     node_w = np.zeros(node_shape)
@@ -335,7 +335,9 @@ class Disc(Region):
     def signed_distance(self, x, y=None):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return self.radius - np.hypot(x - self.center[0], y - self.center[1])
+        out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+        np.hypot(_compact(x) - self.center[0], _compact(y) - self.center[1], out=out)
+        return np.subtract(self.radius, out, out=out)
 
     def to_dict(self) -> dict:
         return {"type": "disc", "center": list(self.center), "radius": self.radius}

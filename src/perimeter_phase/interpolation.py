@@ -180,12 +180,16 @@ def _annulus_stencil(domain: Domain, radial: np.ndarray, spec: AnnulusSpec):
     each cell's anchor (row 0) and its forward neighbour along each axis
     (the rows of ``energy._cell_stencil``).
     """
-    anchors = radial[:-1] if domain.dim == 1 else radial[:-1, :-1]
-    cells = np.nonzero((anchors > spec.rho) & (anchors < spec.outer_radius))
+    cell = (slice(None, -1),) * domain.dim
+    in_ring = (radial[cell] > spec.rho) & (radial[cell] < spec.outer_radius)
     offsets = [0] + [int(np.prod(radial.shape[axis + 1 :])) for axis in range(domain.dim)]
-    stencil = np.ravel_multi_index(cells, radial.shape) + np.array(offsets)[:, None]
-    nodes, where = np.unique(stencil, return_inverse=True)
-    return domain.cell_weights[cells], nodes, where.reshape(stencil.shape)
+    # The ring padded to the node grid gives the anchors' flat indices in
+    # order, and a node mask, not np.unique, the sorted nodes they touch.
+    stencil = np.flatnonzero(np.pad(in_ring, (0, 1))) + np.array(offsets)[:, None]
+    touched = np.zeros(radial.size, dtype=bool)
+    touched[stencil] = True
+    nodes = np.flatnonzero(touched)
+    return domain.cell_weights[in_ring], nodes, np.searchsorted(nodes, stencil)
 
 
 def _ramp_reach(profile: SlopedProfile, bound: float, h: float) -> float:

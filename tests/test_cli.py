@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -22,7 +23,11 @@ def write_config(path, payload):
 
 
 def run(tmp, kind, payload):
-    cfg = write_config(tmp / f"{kind}.json".replace("-", "_"), payload)
+    # The config lives beside the output directory: a run writes <kind>.json
+    # for barrier, energy, glue and the others, which would overwrite it.
+    configs = tmp.parent / f"{tmp.name}-configs"
+    configs.mkdir(exist_ok=True)
+    cfg = write_config(configs / f"{kind}.json", payload)
     return main([kind, "--config", cfg, "--out", str(tmp), "--quiet"])
 
 
@@ -310,6 +315,9 @@ def test_sweep_run_small(tmp_path):
         "tv_phase",
         "interface_x",
         "l2_gap_to_oracle",
+        "iterations",
+        "converged",
+        "grad_sup",
     ]
     assert len(lines) == 3
     first = [float(t) for t in lines[1].split(",")]
@@ -317,6 +325,16 @@ def test_sweep_run_small(tmp_path):
     assert first[0] == 1e-1 and second[0] == 3e-2
     assert 0.0 < first[1] < second[1] < 1.2 * (14.0 / 3.0)
     assert abs(first[5]) < 0.05 and abs(second[5]) < 0.05
+    # The solve report of each scale, as continuation_sweep returns it.
+    entries = pp.continuation_sweep(
+        pp.Domain.interval(-1.0, 1.0, 256), [1e-1, 3e-2], -1.0, 1.0, 2.0,
+        tol_grad=1e-3, max_iters=3000,
+    )
+    for line, entry in zip(lines[1:], entries):
+        iterations, converged, grad_sup = line.split(",")[7:]
+        assert int(iterations) == entry.iterations
+        assert converged == ("1" if entry.converged else "0")
+        assert float(grad_sup) == entry.grad_sup
 
 
 def test_recovery_run_with_builtin(tmp_path):
@@ -571,6 +589,7 @@ def test_malformed_config_domain_is_a_config_error(tmp_path, capsys, domain, mes
     err = capsys.readouterr().err
     assert "error[config]" in err and message in err
     assert not (tmp_path / "barrier.f64").exists()
+    assert not (tmp_path / "barrier.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -680,12 +699,12 @@ def test_null_harmonic_check_n_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "harmonic.json").exists()
 
 
-def _run_python(code):
+def _run_python(code, *args):
     """Run code in a fresh interpreter that imports this package; return its stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(pp.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True
     )
     return done.stdout.strip()
 
@@ -730,6 +749,32 @@ def test_laplace_solves_load_no_scipy():
         "    print(bool(np.all(np.isfinite(out.values))), " + _SCIPY_LOADED + ")\n"
     )
     assert _run_python(code).splitlines() == ["True []"] * 3
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
+def test_cli_keeps_freed_grid_arrays_in_the_heap(tmp_path):
+    # Three 2 MB arrays freed together leave more than twice the largest
+    # array glibc has mapped and freed at the top of its heap, so by default
+    # it trims them off and the next round faults their pages in again.
+    cfg = write_config(tmp_path / "oracle1d.json", {"a": 1.0, "b": 3.0})
+    argv = ["oracle1d", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]
+    code = (
+        "import resource, sys, numpy as np\n"
+        "from perimeter_phase import cli\n"
+        "def rounds():\n"
+        "    for _ in range(10):\n"
+        "        arrays = [np.ones(1 << 18) for _ in range(3)]\n"
+        "        del arrays\n"
+        "if sys.argv[-1] == 'cli':\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        "rounds()\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "rounds()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    trimmed, kept = (int(_run_python(code, mode)) for mode in ("plain", "cli"))
+    assert trimmed >= 10 * 512  # a 2 MB array is 512 pages
+    assert kept < 100
 
 
 @pytest.mark.parametrize("kind", ["union", "intersection"])

@@ -14,12 +14,15 @@ import numpy as np
 import pytest
 
 import perimeter_phase as pp
-from perimeter_phase import interpolation, potential
+from perimeter_phase import cli, geometry, interpolation, potential
 
 N = 256
 EPS = 1e-2
 
-# Measured: 2.0008, 3.2371, 3.2372, 3.4321, 4.9522, 3.3625.
+# Measured: 2.0008, 3.2371, 3.2372, 3.4321, 4.9533, 3.3625, 1.2520, 1.2520,
+# 1.9861, 2.0078, 5.5234.  A disc's distances are one grid array plus numpy's
+# fixed-size ufunc buffers (a quarter of a grid array at n = 256); recovery
+# holds the input field, its node distances and one scale's build.
 LIMITS = {
     "h_tilde": 2.1,
     "tv_phase": 3.3,
@@ -27,11 +30,16 @@ LIMITS = {
     "build_recovery": 3.5,
     "glue_two_stage": 5.0,
     "build_barrier": 3.4,
+    "disc_signed_distance": 1.3,
+    "rasterize_disc": 1.3,
+    "region_cell_fraction_disc": 2.0,
+    "annulus_stencil": 2.1,
+    "run_recovery_three_scales": 5.6,
 }
 
 
 @pytest.fixture(scope="module")
-def kernels():
+def kernels(tmp_path_factory):
     dom = pp.Domain.ball(1.0, N)
     zeros = np.zeros(dom.node_shape)
     pairs = [
@@ -41,6 +49,19 @@ def kernels():
     u, v = (pp.build_recovery(pair, EPS)[0] for pair in pairs)
     spec = pp.AnnulusSpec(0.6, 0.2, 1.0)
     scaled = u.values / math.sqrt(EPS)
+    disc = pp.Disc((0.1, 0.0), 0.7)
+    radial = interpolation._radial_nodes(dom)
+    out = str(tmp_path_factory.mktemp("recovery"))
+
+    def recovery_cfg():
+        return cli.parse_config("recovery", {
+            "builtin": "zero",
+            "domain": dom.to_dict(),
+            "region": disc.to_dict(),
+            "epsilons": [3e-2, 2e-2, EPS],
+            "dump_fields": True,
+        })
+
     # u and v cross, so the glue runs its two stages
     assert len(pp.glue(v, u, spec, budget=1e6)[1].stages) == 2
     calls = {
@@ -50,6 +71,11 @@ def kernels():
         "build_recovery": lambda: pp.build_recovery(pairs[0], EPS),
         "glue_two_stage": lambda: pp.glue(v, u, spec, budget=1e6),
         "build_barrier": lambda: interpolation.build_barrier(dom, 0.5, 1.0, EPS),
+        "disc_signed_distance": lambda: disc.signed_distance(dom.nodes_x, dom.nodes_y),
+        "rasterize_disc": lambda: pp.rasterize(disc, dom),
+        "region_cell_fraction_disc": lambda: geometry.region_cell_fraction(disc, dom),
+        "annulus_stencil": lambda: interpolation._annulus_stencil(dom, radial, spec),
+        "run_recovery_three_scales": lambda: cli._run_recovery(recovery_cfg(), out, None),
     }
     return calls, zeros.nbytes
 

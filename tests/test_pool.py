@@ -1,8 +1,8 @@
 """The CLI pool's chunking and the read-only caches of per-grid constants.
 
 The chunked pool and the caches change no output bit: the reference
-formulas below are the uncached ones, and the CLI's bytes are compared
-across thread counts.
+formulas below are the uncached ones, and the harmonic check's bytes are
+compared across thread counts.  Recovery runs without the pool.
 """
 
 import json
@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perimeter_phase import cli, minimize
+import perimeter_phase as pp
+from perimeter_phase import cli, fieldio, minimize
 
 
 def write_config(path, payload):
@@ -274,7 +275,9 @@ def test_harmonic_check_bytes_equal_across_thread_counts(tmp_path, monkeypatch, 
     assert all(r == runs[0] for r in runs[1:])
 
 
-def test_recovery_bytes_equal_across_thread_counts(tmp_path, monkeypatch):
+def test_recovery_builds_its_scales_serially_as_the_library_does(tmp_path, counting_pool):
+    # Recovery holds one scale at a time, so it starts no pool, and each dump
+    # is the library's build of its scale, byte for byte.
     payload = {
         "builtin": "zero",
         "domain": {"kind": "box", "lo": -1.0, "hi": 1.0, "n": 64},
@@ -282,6 +285,18 @@ def test_recovery_bytes_equal_across_thread_counts(tmp_path, monkeypatch):
         "epsilons": [1e-1, 3e-2, 1e-2],
         "dump_fields": True,
     }
-    one, three = (run_bytes(tmp_path, "recovery", payload, t, monkeypatch) for t in (1, 3))
-    assert {"recovery.csv", "recovery_000.f64", "recovery_002.f64"} <= set(one)
-    assert one == three
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "recovery.json", payload)
+    assert cli.main(["recovery", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert counting_pool.sizes == []
+    domain = pp.Domain.box(-1.0, 1.0, 64)
+    pair = pp.SharpPair(
+        pp.ScalarField(domain, np.zeros(domain.node_shape)),
+        region=pp.Disc((0.1, 0.0), 0.4),
+    )
+    for i, eps in enumerate(payload["epsilons"]):
+        expect = tmp_path / f"expect_{i}.f64"
+        fieldio.save_binary(pp.build_recovery(pair, eps)[0].field, str(expect))
+        for suffix in ("", ".json"):
+            got = out / f"recovery_{i:03d}.f64{suffix}"
+            assert got.read_bytes() == pathlib.Path(f"{expect}{suffix}").read_bytes()
