@@ -11,7 +11,6 @@ from .errors import (
     BudgetExceededError,
     ConfigError,
     DomainError,
-    InfeasibleGlueError,
     InvalidPairError,
     NumericError,
     PerimeterPhaseError,
@@ -20,8 +19,6 @@ from .errors import (
 )
 from .potential import C0, c0, h, h_tilde, h_tilde_inverse, w, w_prime
 from .profiles1d import (
-    TAIL_SLOPE_SQRT_THETA,
-    TAIL_SLOPE_THETA,
     SlopedProfile,
     sloped_profile,
     tail_well_sup,

@@ -19,7 +19,7 @@ the schedule of energy.epsilon_schedule, and adds only the CLI's policy
 
 Exit codes: 0 on success; 1 for bad input (config violations, domain or
 region errors, unreadable files); 2 when a construction's verified
-contract fails (budget exceeded, infeasible annulus, numerical guard).
+contract fails (budget exceeded, numerical guard).
 
 Only the harmonic-replacement check runs on a thread pool, through
 _map_chunks: one task per contiguous chunk of near-equal length, at most
@@ -58,7 +58,7 @@ from .energy import PhaseState, ScalarField, SharpPair
 from .errors import ConfigError, DomainError, PerimeterPhaseError
 from .geometry import Domain, _finite, region_from_dict
 
-_CONTRACT_CODES = {"budget-exceeded", "infeasible-glue", "numeric"}
+_CONTRACT_CODES = {"budget-exceeded", "numeric"}
 _N_MIN = 2**6
 _N_MAX = 2**20
 # Upper bounds on the sample points of a profile table and on the fields of
@@ -267,10 +267,6 @@ def _boundary(key, bnd, violations):
 _POSITIVE = _Rule(_number(positive=True))
 _BOUND_M = _Rule(_number(positive=True), 1.0)
 _KAPPA = _Rule(_kappa, 0.1)
-_CONVENTION = _Rule(
-    _choice(profiles1d.TAIL_SLOPE_THETA, profiles1d.TAIL_SLOPE_SQRT_THETA),
-    profiles1d.TAIL_SLOPE_THETA,
-)
 _TOL_GRAD = _Rule(_number(positive=True), minimize.MinimizeConfig.tol_grad)
 _MAX_ITERS = _Rule(_integer(0), minimize.MinimizeConfig.max_iters)
 
@@ -280,7 +276,6 @@ _TABLES: Dict[str, Dict[str, _Rule]] = {
         "epsilon": _POSITIVE,
         "profile_kind": _Rule(_choice("standard", "linear_tail"), "standard"),
         "theta": _Rule(None, 0.0),
-        "convention": _CONVENTION,
         "s_max": _POSITIVE,
         "count": _Rule(_integer(2, _PROFILE_COUNT_MAX), 1001),
     },
@@ -308,7 +303,6 @@ _TABLES: Dict[str, Dict[str, _Rule]] = {
         "rho": _POSITIVE,
         "delta": _POSITIVE,
         "gamma": _POSITIVE,
-        "convention": _CONVENTION,
     },
     "barrier": {
         "domain": _Rule(_domain()),
@@ -412,7 +406,7 @@ def _run_profile(cfg: dict, out_dir: str, rng) -> List[str]:
         value = profiles1d.transition_profile(epsilon, s)
         deriv = profiles1d.transition_profile_derivative(epsilon, s)
     else:
-        prof = profiles1d.sloped_profile(epsilon, cfg["theta"], cfg["convention"])
+        prof = profiles1d.sloped_profile(epsilon, cfg["theta"])
         value, deriv = prof.value(s), prof.derivative(s)
     well = potential.w(value / math.sqrt(epsilon)) / epsilon
     rows = [
@@ -495,7 +489,6 @@ def _run_glue(cfg: dict, out_dir: str, rng) -> List[str]:
         outer_state=outer,
         spec=spec,
         budget=cfg["gamma"],
-        convention=cfg["convention"],
     )
     dump = os.path.join(out_dir, "glued.f64")
     fieldio.save_binary(out_state.field, dump)

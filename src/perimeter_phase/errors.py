@@ -43,20 +43,6 @@ class NumericError(PerimeterPhaseError):
     code = "numeric"
 
 
-class InfeasibleGlueError(PerimeterPhaseError):
-    """Annulus too thin for the requested gluing bound.
-
-    ``delta_min`` reports the smallest annulus width (found by bisection)
-    at which the transition profile reaches the required height.
-    """
-
-    code = "infeasible-glue"
-
-    def __init__(self, message: str, delta_min: float | None = None):
-        super().__init__(message)
-        self.delta_min = delta_min
-
-
 class BudgetExceededError(PerimeterPhaseError):
     """Glued competitor exceeded its allowed energy overshoot.
 

@@ -57,7 +57,7 @@ def _read_sidecar(path: str) -> Domain:
 
 
 def save_binary(field: ScalarField, path: str) -> None:
-    field.values.astype("<f8").tofile(path)
+    field.values.astype("<f8", copy=False).tofile(path)
     _write_sidecar(field.domain, path)
 
 

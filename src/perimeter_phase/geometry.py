@@ -325,8 +325,10 @@ class Disc(Region):
     radius: float
 
     def __post_init__(self):
-        if not (self.radius > 0):
-            raise DomainError(f"disc radius must be positive, got {self.radius}")
+        if not (len(self.center) == 2 and _finite(*self.center)):
+            raise DomainError(f"disc center must be two finite numbers, got {self.center!r}")
+        if not (_finite(self.radius) and self.radius > 0):
+            raise DomainError(f"disc radius must be a positive finite number, got {self.radius!r}")
         object.__setattr__(
             self, "center", (float(self.center[0]), float(self.center[1]))
         )
@@ -351,10 +353,14 @@ class HalfPlane(Region):
     offset: float
 
     def __post_init__(self):
+        if not (len(self.normal) == 2 and _finite(*self.normal)):
+            raise DomainError(f"half-plane normal must be two finite numbers, got {self.normal!r}")
+        if not _finite(self.offset):
+            raise DomainError(f"half-plane offset must be a finite number, got {self.offset!r}")
         nx, ny = float(self.normal[0]), float(self.normal[1])
         norm = math.hypot(nx, ny)
-        if norm == 0.0:
-            raise DomainError("half-plane normal must be nonzero")
+        if not 0.0 < norm < math.inf:
+            raise DomainError(f"half-plane normal must be nonzero, got {self.normal!r}")
         object.__setattr__(self, "normal", (nx / norm, ny / norm))
         object.__setattr__(self, "offset", float(self.offset) / norm)
 

@@ -2,8 +2,10 @@
 
 Gluing joins an inner state v and an outer state u across the annulus
 rho < |x| < rho + delta with a steep radial ramp: a sloped profile of
-|x| - r whose tail slope is set by theta = 16 M / delta so that the ramp
-saturates to +/- M within an eighth of the annulus width.  When u >= v
+|x| - r with tail slope theta = 16 M / delta.  The profile's slope is at
+least theta everywhere and its value at 0 is 0, so within an eighth of
+the annulus width it reaches theta * delta / 8 = 2 M >= M: the ramp
+saturates to +/- M there for every eps, delta and M.  When u >= v
 everywhere a single composition min(u, max(v, ramp)) suffices; otherwise
 the join runs in two stages through the pointwise minimum, each on half
 the annulus.  The ramp radius r is chosen from a scan of candidates in
@@ -34,17 +36,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from . import energy as energy_mod
 from . import potential
 from .energy import EnergyBreakdown, PhaseState, ScalarField
-from .errors import BudgetExceededError, DomainError, InfeasibleGlueError, NumericError
+from .errors import BudgetExceededError, DomainError, NumericError
 from .geometry import Complement, Disc, Domain, IntervalUnion, Region
 from .profiles1d import (
-    TAIL_SLOPE_THETA,
     SlopedProfile,
     sloped_profile,
     splice_profile,
@@ -135,35 +136,6 @@ def _check_glue_domain(domain: Domain, spec: AnnulusSpec) -> None:
                 f"ball radius {domain.radius} does not contain the annulus "
                 f"out to radius {outer}"
             )
-
-
-def _feasible_saturation(
-    epsilon: float, delta: float, bound_m: float, convention: str
-) -> bool:
-    prof = sloped_profile(epsilon, 16.0 * bound_m / delta, convention)
-    return bool(prof.value(delta / 8.0) >= bound_m)
-
-
-def _minimal_feasible_delta(
-    epsilon: float, delta: float, bound_m: float, convention: str
-) -> Optional[float]:
-    """Smallest annulus width whose ramp saturates, by bisection."""
-    lo, hi = delta, max(2.0 * delta, 8.0 * bound_m)
-    for _ in range(60):
-        if _feasible_saturation(epsilon, hi, bound_m, convention):
-            break
-        hi *= 2.0
-        if hi > 1e6:
-            return None
-    else:
-        return None
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _feasible_saturation(epsilon, mid, bound_m, convention):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _ramp_values(radial: np.ndarray, profile: SlopedProfile, r: float, direction: str):
@@ -271,6 +243,9 @@ def _glue_stage(
         contrib.fill(0.0)
         contrib[cell_order[c0:c1]] = dens * weights[c0:c1] * sandwich
         energies[i] = float(np.sum(contrib))
+    # Free the scan's index arrays before the composition's grid arrays.
+    del weights, nodes, where, node_order, node_radii, position, anchor_nodes
+    del cell_order, anchor_radii, lo_a, hi_a, contrib
     best = int(np.argmin(energies))
     r_star = float(radii[best])
     far = np.inf if direction == "rising" else -np.inf
@@ -298,7 +273,6 @@ def glue(
     outer_state: PhaseState,
     spec: AnnulusSpec,
     budget: float,
-    convention: str = TAIL_SLOPE_THETA,
 ) -> Tuple[PhaseState, GlueReport]:
     """Join inner and outer states across the annulus within the budget.
 
@@ -325,18 +299,6 @@ def glue(
         )
     if not (budget > 0):
         raise DomainError(f"budget must be positive, got {budget}")
-    if not _feasible_saturation(epsilon, spec.delta, spec.bound_m, convention):
-        delta_min = _minimal_feasible_delta(epsilon, spec.delta, spec.bound_m, convention)
-        raise InfeasibleGlueError(
-            "ramp cannot saturate within an eighth of the annulus width "
-            f"(delta = {spec.delta}, convention = {convention}); "
-            + (
-                f"smallest feasible width is about {delta_min:.6g}"
-                if delta_min is not None
-                else "no feasible width found"
-            ),
-            delta_min=delta_min,
-        )
 
     u = outer_state.values
     v = inner_state.values
@@ -344,7 +306,7 @@ def glue(
     ordered = bool(np.all(u >= v))
     stages = []
     if ordered:
-        profile = sloped_profile(epsilon, spec.theta, convention)
+        profile = sloped_profile(epsilon, spec.theta)
         out_vals, stage = _glue_stage(
             v, u, radial, domain, epsilon, spec, "rising", profile
         )
@@ -353,7 +315,7 @@ def glue(
         half = spec.delta / 2.0
         spec_outer = AnnulusSpec(spec.rho + half, half, spec.bound_m)
         spec_inner = AnnulusSpec(spec.rho, half, spec.bound_m)
-        prof_half = sloped_profile(epsilon, spec_outer.theta, convention)
+        prof_half = sloped_profile(epsilon, spec_outer.theta)
         out_vals, stage1 = _glue_stage(
             np.minimum(u, v), u, radial, domain, epsilon, spec_outer, "rising", prof_half
         )
@@ -370,6 +332,7 @@ def glue(
         out_vals[outer_zone], u[outer_zone]
     ):
         raise NumericError("glued field violates the bitwise zone contract")
+    del inner_zone, outer_zone
 
     out_state = PhaseState(
         field=ScalarField(domain, out_vals), epsilon=epsilon, bound_m=spec.bound_m

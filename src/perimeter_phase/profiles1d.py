@@ -3,12 +3,12 @@
 * The standard transition ``sqrt(eps) * tanh(s / eps)`` connects the two
   wells across an O(eps) layer and solves the first-order reduction
   ``slope = sqrt(w(value / sqrt(eps)) / eps)``.
-* Sloped profiles solve ``slope = sqrt(w(value / sqrt(eps)) / eps + c)``,
-  with ``c`` set by the requested tail slope: they reach the band edge
-  sqrt(eps) at a finite crossing time and continue exactly linearly.  The
-  equation separates into an elliptic integral of the first kind, so the
-  profile is a Jacobi amplitude and its crossing time a Carlson R_F; see
-  :class:`SlopedProfile`.
+* Sloped profiles with tail slope theta solve ``slope = sqrt(w(value /
+  sqrt(eps)) / eps + theta**2)``: their slope is at least theta everywhere,
+  they reach the band edge sqrt(eps) at a finite crossing time and continue
+  exactly linearly with slope theta.  The equation separates into an
+  elliptic integral of the first kind, so the profile is a Jacobi amplitude
+  and its crossing time a Carlson R_F; see :class:`SlopedProfile`.
 """
 
 from __future__ import annotations
@@ -20,14 +20,6 @@ import numpy as np
 
 from . import potential
 from .errors import DomainError
-
-# Conventions for the constant added under the square root of the
-# first-order equation.  "tail_slope_theta" adds theta**2, so the profile
-# leaves the band with slope exactly theta.  "tail_slope_sqrt_theta" adds
-# theta, giving tail slope sqrt(theta).
-TAIL_SLOPE_THETA = "tail_slope_theta"
-TAIL_SLOPE_SQRT_THETA = "tail_slope_sqrt_theta"
-_CONVENTIONS = (TAIL_SLOPE_THETA, TAIL_SLOPE_SQRT_THETA)
 
 
 def _check_epsilon(epsilon: float) -> float:
@@ -133,34 +125,30 @@ def _carlson_rf(x: float, y: float, z: float) -> float:
 
 @dataclass(frozen=True)
 class SlopedProfile:
-    """Odd increasing profile with an exact linear tail, in closed form.
+    """Odd increasing profile with tail slope theta, in closed form.
 
-    With t = value / sqrt(eps) and k = c * eps the equation reads eps dt/ds
-    = sqrt((1 - t^2)^2 + k), a quartic with complex roots, so s(t) = eps /
-    (2a) F(2 arctan(t / a) | m) with r = sqrt(1 + k), a = sqrt(r) and m =
-    (1 + 1/r) / 2 (Byrd & Friedman 1971).  Inside |s| < crossing_time = s(1)
-    = eps R_F(q^2, q, 1) / (1 + r), q = k / (1 + r)^2 (Carlson 1995), the
-    value is sign(s) sqrt(eps) a tan(am(2a |s| / eps | m) / 2); outside it
-    is sign(s) (sqrt(eps) + tail_slope (|s| - crossing_time)).  The
-    amplitude is the AGM backward recurrence (Abramowitz & Stegun 16.4.3)
-    from a_0 = 1 and b_0 = sqrt(1 - m), 1 - m = k / (2r (1 + r)) formed from
-    k (as a difference it would lose a small k), with its arcsine written
-    atan2(c_n sin phi, hypot(b_n, c_n cos phi)) by a_n^2 = b_n^2 + c_n^2,
-    which stays accurate as m -> 1.  The derivative is the first integral
-    sqrt(w(value / sqrt(eps)) / eps + c) inside and tail_slope outside.
+    With t = value / sqrt(eps) and k = theta^2 * eps the equation reads
+    eps dt/ds = sqrt((1 - t^2)^2 + k), a quartic with complex roots, so
+    s(t) = eps / (2a) F(2 arctan(t / a) | m) with r = sqrt(1 + k), a = sqrt(r)
+    and m = (1 + 1/r) / 2 (Byrd & Friedman 1971).  Inside |s| < crossing_time
+    = s(1) = eps R_F(q^2, q, 1) / (1 + r), q = k / (1 + r)^2 (Carlson 1995),
+    the value is sign(s) sqrt(eps) a tan(am(2a |s| / eps | m) / 2); outside it
+    is sign(s) (sqrt(eps) + tail_slope (|s| - crossing_time)), tail_slope =
+    sqrt(theta^2).  The amplitude is the AGM backward recurrence (Abramowitz
+    & Stegun 16.4.3) from a_0 = 1 and b_0 = sqrt(1 - m), 1 - m = k / (2r (1 +
+    r)) formed from k (as a difference it would lose a small k), with its
+    arcsine written atan2(c_n sin phi, hypot(b_n, c_n cos phi)) by a_n^2 =
+    b_n^2 + c_n^2, which stays accurate as m -> 1.  The derivative is the
+    first integral sqrt(w(value / sqrt(eps)) / eps + theta^2) inside, never
+    below tail_slope, and tail_slope outside.
     """
 
     epsilon: float
     theta: float
-    convention: str
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
-        if self.convention not in _CONVENTIONS:
-            raise DomainError(
-                f"unknown slope convention {self.convention!r}, expected one of {_CONVENTIONS}"
-            )
-        added = self.theta * self.theta if self.convention == TAIL_SLOPE_THETA else self.theta
+        added = self.theta * self.theta
         k = added * self.epsilon if self.theta > 0 else 0.0
         r = math.sqrt(1.0 + k)
         q = k / (1.0 + r) ** 2
@@ -168,8 +156,8 @@ class SlopedProfile:
         # 1 - m = 0 the chain never closes.
         if not (q > 0.0 and math.isfinite(k)):
             raise DomainError(
-                "sloped profiles need theta > 0 with 0 < c * eps < inf, got theta="
-                f"{self.theta}, c * eps = {added * self.epsilon} ({self.convention})"
+                "sloped profiles need theta > 0 with 0 < theta^2 * eps < inf, got theta="
+                f"{self.theta}, theta^2 * eps = {added * self.epsilon}"
             )
         # The AGM chain as (b_n, c_n); its last a_N scales the top phase.
         mean, b, levels = 1.0, math.sqrt(k / r / (2.0 * (1.0 + r))), []
@@ -218,8 +206,6 @@ class SlopedProfile:
         return float(out) if out.ndim == 0 else out
 
 
-def sloped_profile(
-    epsilon: float, theta: float, convention: str = TAIL_SLOPE_THETA
-) -> SlopedProfile:
+def sloped_profile(epsilon: float, theta: float) -> SlopedProfile:
     """A new :class:`SlopedProfile`; its closed form builds in microseconds."""
-    return SlopedProfile(float(epsilon), float(theta), convention)
+    return SlopedProfile(float(epsilon), float(theta))

@@ -85,8 +85,7 @@ def minimal_configs(path):
     return {
         "profile": (
             {"epsilon": 1e-2, "s_max": 1.0},
-            {"profile_kind": "standard", "theta": 0.0, "convention": "tail_slope_theta",
-             "count": 1001},
+            {"profile_kind": "standard", "theta": 0.0, "count": 1001},
         ),
         "energy": ({"field": path, "epsilon": 1e-1}, {"region": None}),
         "recovery": (
@@ -96,7 +95,7 @@ def minimal_configs(path):
         "glue": (
             {"u_field": path, "v_field": path, "epsilon": 1e-2, "rho": 0.5, "delta": 0.2,
              "gamma": 0.5},
-            {"bound_m": 1.0, "convention": "tail_slope_theta"},
+            {"bound_m": 1.0},
         ),
         "barrier": (
             {"domain": INTERVAL, "interface_radius": 0.5, "epsilon": 1e-2},
@@ -120,13 +119,13 @@ def full_configs(path):
     ball = {"kind": "ball", "radius": 1.0, "n": 64, "center": [0.1, 0.0]}
     return {
         "profile": {"epsilon": 1e-2, "s_max": 1.0, "profile_kind": "linear_tail", "theta": 0.5,
-                    "convention": "tail_slope_sqrt_theta", "count": 11},
+                    "count": 11},
         "energy": {"field": path, "epsilon": 1e-1, "region": HALF_LINE},
         "recovery": {"field": path, "builtin": "constant", "value": 0.5, "domain": INTERVAL,
                      "region": HALF_LINE, "epsilons": [1e-1, 1e-2], "kappa": 0.2,
                      "bound_m": 2.0, "dump_fields": True},
         "glue": {"u_field": path, "v_field": path, "epsilon": 1e-2, "bound_m": 2.0, "rho": 0.5,
-                 "delta": 0.2, "gamma": 0.5, "convention": "tail_slope_sqrt_theta"},
+                 "delta": 0.2, "gamma": 0.5},
         "barrier": {"domain": ball, "interface_radius": 0.5, "bound_m": 2.0, "epsilon": 1e-2,
                     "kappa": 0.2},
         "minimize": {"initial": path, "domain": INTERVAL, "boundary": BOUNDARY, "epsilon": 1e-1,
@@ -207,10 +206,10 @@ def test_profile_linear_tail_table(tmp_path):
 
 
 def test_profile_tiny_sqrt_theta_is_solved(tmp_path):
-    # c * eps = 1e-302: the profile is tanh to double precision and its
-    # crossing time is about 174.9 eps.
-    payload = {"epsilon": 1e-2, "profile_kind": "linear_tail", "theta": 1e-300,
-               "convention": "tail_slope_sqrt_theta", "s_max": 2.0, "count": 2001}
+    # theta = 1e-150 = sqrt(1e-300), so theta^2 * eps = 1e-302: the profile
+    # is tanh to double precision and its crossing time is about 174.9 eps.
+    payload = {"epsilon": 1e-2, "profile_kind": "linear_tail", "theta": 1e-150,
+               "s_max": 2.0, "count": 2001}
     assert run(tmp_path, "profile", payload) == 0
     s, value, deriv, _ = read_profile_table(tmp_path)
     assert np.all(np.diff(value) >= 0.0)
@@ -560,6 +559,16 @@ def test_malformed_ball_center_is_a_config_error(tmp_path, capsys, center):
     assert f"domain.center must be two finite numbers, got {center!r}" in err
 
 
+@pytest.mark.parametrize("kind", ["profile", "glue"])
+def test_convention_is_an_unknown_key(tmp_path, capsys, field_path, kind):
+    payload = dict(full_configs(field_path)[kind], convention="tail_slope_theta")
+    assert run(tmp_path, kind, payload) == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert "unknown key 'convention'" in err
+    assert not (tmp_path / {"profile": "profile.csv", "glue": "glue.json"}[kind]).exists()
+
+
 def test_profile_kappa_is_an_unknown_key(tmp_path, capsys):
     assert run(tmp_path, "profile", {"epsilon": 1e-2, "s_max": 1.0, "kappa": 0.1}) == 1
     err = capsys.readouterr().err
@@ -676,6 +685,36 @@ def test_region_that_is_not_an_object_is_a_config_error(tmp_path, capsys, field_
     err = capsys.readouterr().err
     assert "error[config]" in err
     assert f"region is not a valid region: a region must be an object, got {region!r}" in err
+
+
+@pytest.mark.parametrize(
+    "region, message",
+    [
+        ({"type": "disc", "center": [float("nan"), 0.0], "radius": 0.5},
+         "disc center must be two finite numbers, got (nan, 0.0)"),
+        ({"type": "disc", "center": [0.1], "radius": 0.5},
+         "disc center must be two finite numbers, got (0.1,)"),
+        ({"type": "disc", "center": [0.0, 0.0], "radius": float("inf")},
+         "disc radius must be a positive finite number, got inf"),
+        ({"type": "half_plane", "normal": [1.0, 0.0], "offset": float("nan")},
+         "half-plane offset must be a finite number, got nan"),
+        ({"type": "half_plane", "normal": [float("-inf"), 1.0], "offset": 0.0},
+         "half-plane normal must be two finite numbers, got (-inf, 1.0)"),
+        ({"type": "half_plane", "normal": [1.5e308, 1.5e308], "offset": 0.0},
+         "half-plane normal must be nonzero, got (1.5e+308, 1.5e+308)"),  # length overflows
+    ],
+    ids=["disc-nan-center", "disc-short-center", "disc-inf-radius", "half-plane-nan-offset",
+         "half-plane-inf-normal", "half-plane-huge-normal"],
+)
+def test_non_finite_region_parameters_are_rejected(tmp_path, capsys, field_path, region, message):
+    with pytest.raises(pp.DomainError) as err:
+        pp.region_from_dict(region)
+    assert str(err.value) == message
+    assert run(tmp_path, "energy", {"field": field_path, "epsilon": 1e-2, "region": region}) == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert f"region is not a valid region: {message}" in err
+    assert not (tmp_path / "energy.json").exists()
 
 
 def test_null_domain_n_is_a_config_error(tmp_path, capsys):

@@ -4,14 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perimeter_phase as pp
 from perimeter_phase import interpolation
-from perimeter_phase.errors import (
-    BudgetExceededError,
-    DomainError,
-    InfeasibleGlueError,
-)
+from perimeter_phase.errors import BudgetExceededError, DomainError
 
 
 def radial(domain):
@@ -100,29 +98,20 @@ def test_glue_budget_exceeded():
     assert err.value.excess == pytest.approx(318.437237, abs=1e-4)
 
 
-def test_glue_infeasible_under_sqrt_convention():
-    # with tail slope sqrt(theta) the ramp cannot reach the bound within
-    # delta/8, so the saturation precondition fails for small delta
-    dom = pp.Domain.interval(-1.0, 1.0, 4096)
-    eps = 1e-2
-    ones = np.ones(dom.node_shape)
-    outer = pp.PhaseState(pp.ScalarField(dom, ones.copy()), eps, 1.0)
-    inner = pp.PhaseState(pp.ScalarField(dom, -ones.copy()), eps, 1.0)
-    with pytest.raises(InfeasibleGlueError) as err:
-        pp.glue(
-            inner,
-            outer,
-            pp.AnnulusSpec(0.6, 0.2, 1.0),
-            budget=400.0,
-            convention=pp.TAIL_SLOPE_SQRT_THETA,
-        )
-    assert err.value.delta_min == pytest.approx(3.5146651, abs=1e-4)
-    # The reported width is the bisection's feasible end, tight to 1e-6.
-    delta_min = err.value.delta_min
-    assert interpolation._feasible_saturation(eps, delta_min, 1.0, pp.TAIL_SLOPE_SQRT_THETA)
-    assert not interpolation._feasible_saturation(
-        eps, (1.0 - 1e-6) * delta_min, 1.0, pp.TAIL_SLOPE_SQRT_THETA
-    )
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(log_uniform(-8, 0), log_uniform(-6, 1), log_uniform(-3, 1))
+def test_glue_ramp_saturates_within_an_eighth_of_the_annulus(epsilon, delta, bound_m):
+    # The ramp's slope is at least its tail slope theta = 16 M / delta
+    # everywhere and its value at 0 is 0, so at delta / 8 it has reached
+    # theta * delta / 8 = 2 M >= M, whatever eps, delta and M.
+    prof = pp.sloped_profile(epsilon, pp.AnnulusSpec(1.0, delta, bound_m).theta)
+    s = np.linspace(0.0, delta / 8.0, 257)
+    assert np.all(prof.derivative(s) >= prof.tail_slope)
+    assert prof.value(delta / 8.0) >= bound_m
 
 
 def test_glue_two_stage_for_unordered_states():

@@ -126,7 +126,7 @@ def test_sloped_profile_crossing_and_tail():
     root = math.sqrt(eps)
     assert t_star > 0.0
     assert prof.value(t_star) == pytest.approx(root, rel=0, abs=1e-15)
-    # default convention: linear tail with slope exactly theta
+    # linear tail with slope theta
     assert prof.tail_slope == pytest.approx(theta, rel=1e-12)
     for ds in (1e-3, 1e-2, 0.1):
         assert prof.value(t_star + ds) == pytest.approx(
@@ -141,13 +141,6 @@ def test_sloped_profile_crossing_and_tail():
         else:
             hi = mid
     assert 0.5 * (lo + hi) == pytest.approx(t_star, abs=1e-8)
-
-
-def test_sloped_profile_sqrt_convention():
-    eps, theta = 1e-2, 5.0
-    prof = pp.sloped_profile(eps, theta, pp.TAIL_SLOPE_SQRT_THETA)
-    assert prof.tail_slope == pytest.approx(math.sqrt(theta), rel=1e-12)
-    assert prof.crossing_time != pp.sloped_profile(eps, theta).crossing_time
 
 
 def test_sloped_profile_ode_residual():
@@ -172,8 +165,9 @@ def test_sloped_profile_odd_and_monotone():
     assert np.all(d > 0.0)
 
 
-THETA, SQRT_THETA = pp.TAIL_SLOPE_THETA, pp.TAIL_SLOPE_SQRT_THETA
-# (epsilon, theta, convention) with k = c * eps between 1e-3 and 1e4.
+THETA, SQRT_THETA = "tail_slope_theta", "tail_slope_sqrt_theta"
+# (epsilon, x, form): the tail slope theta is x (THETA) or sqrt(x)
+# (SQRT_THETA), with k = theta^2 * eps between 1e-3 and 1e4.
 SLOPED_CASES = [
     (1e-2, 80.0, THETA), (1e-2, 160.0, THETA), (1e-3, 4.0, THETA),
     (1e-1, 0.1, THETA), (1e-4, 1e4, THETA),
@@ -182,17 +176,21 @@ SLOPED_CASES = [
 ]
 
 
-def sloped_k(epsilon, theta, convention):
-    """k = c * eps, the one parameter of the reduced equation."""
-    return (theta * theta if convention == THETA else theta) * epsilon
+def tail_slope(x, form):
+    return x if form == THETA else math.sqrt(x)
 
 
-def theta_for_k(k, epsilon, convention):
-    return math.sqrt(k / epsilon) if convention == THETA else k / epsilon
+def sloped_k(prof):
+    """k = theta^2 * eps, the one parameter of the reduced equation."""
+    return prof.theta * prof.theta * prof.epsilon
 
 
-@pytest.mark.parametrize("epsilon, theta, convention", SLOPED_CASES)
-def test_sloped_profile_matches_scipy_special(epsilon, theta, convention):
+def x_for_k(k, epsilon, form):
+    return math.sqrt(k / epsilon) if form == THETA else k / epsilon
+
+
+@pytest.mark.parametrize("epsilon, x, form", SLOPED_CASES)
+def test_sloped_profile_matches_scipy_special(epsilon, x, form):
     # s(t) = eps / (2a) F(2 arctan(t / a) | m) with a = (1 + k)^(1/4) and
     # m = (1 + 1 / sqrt(1 + k)) / 2, so value = sqrt(eps) a tan(am / 2).
     # The bounds are twice scipy's own drift against 40-digit mpmath at
@@ -200,11 +198,11 @@ def test_sloped_profile_matches_scipy_special(epsilon, theta, convention):
     # the profile itself was within 2.6e-16 of mpmath at every k here.
     from scipy.special import ellipj, ellipkinc
 
-    k = sloped_k(epsilon, theta, convention)
+    prof = pp.sloped_profile(epsilon, tail_slope(x, form))
+    k = sloped_k(prof)
     assert k >= 1e-3
     r = math.sqrt(1.0 + k)
     a, m = math.sqrt(r), 0.5 * (1.0 + 1.0 / r)
-    prof = pp.sloped_profile(epsilon, theta, convention)
     crossing = epsilon / (2.0 * a) * ellipkinc(2.0 * math.atan(1.0 / a), m)
     assert prof.crossing_time == pytest.approx(crossing, rel=4e-14, abs=0.0)
     s = np.linspace(0.0, prof.crossing_time, 100_001)
@@ -213,20 +211,21 @@ def test_sloped_profile_matches_scipy_special(epsilon, theta, convention):
     assert np.max(np.abs(prof.value(-s) + ref)) <= 4e-15 * math.sqrt(epsilon)
 
 
-@pytest.mark.parametrize("convention", [THETA, SQRT_THETA])
+@pytest.mark.parametrize("form", [THETA, SQRT_THETA])
 @pytest.mark.parametrize("k", [1e-4, 1e-8, 1e-14, 1e-302])
-def test_sloped_profile_matches_quadrature_for_small_k(k, convention):
+def test_sloped_profile_matches_quadrature_for_small_k(k, form):
     # scipy's ellipkinc drifts as m -> 1 (6e-4 relative at k = 1e-14), so
     # the references are quadratures of s(t) = eps * int_0^t dt / sqrt((1 -
     # t^2)^2 + k).  Up to t = 1 the substitution t = 1 - (sqrt(k)/2) sinh(y)
     # makes the integrand smooth (it tends to 1/2 where 1 - t << 1); short
     # of t = 1 the plain integrand is bounded.  Measured: crossing times
-    # within 5.3e-16 relative, values within 4.2e-16 * sqrt(eps).
+    # within 5.3e-16 relative, values within 4.2e-16 * sqrt(eps).  Both
+    # forms give theta = sqrt(k / eps), so their cases coincide.
     from scipy.integrate import quad
 
     epsilon = 1e-2
-    prof = pp.sloped_profile(epsilon, theta_for_k(k, epsilon, convention), convention)
-    k = sloped_k(prof.epsilon, prof.theta, convention)
+    prof = pp.sloped_profile(epsilon, tail_slope(x_for_k(k, epsilon, form), form))
+    k = sloped_k(prof)
     half = math.sqrt(k) / 2.0
 
     def smooth(y):
@@ -247,11 +246,11 @@ def test_sloped_profile_matches_quadrature_for_small_k(k, convention):
 
 @pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-4])
 def test_tiny_theta_sloped_profile_is_the_standard_profile(epsilon):
-    # theta = 1e-300 under the sqrt convention: k = 1e-300 * eps, so the
-    # equation is the standard one to double precision, the crossing time is
-    # eps * ln(8 / sqrt(k)) / 2 up to O(k ln k), and the tail slope is 1e-150.
-    # Measured: 5.6e-16 * sqrt(eps) from tanh, 4.6e-16 from the asymptote.
-    prof = pp.sloped_profile(epsilon, 1e-300, SQRT_THETA)
+    # theta = 1e-150: k = 1e-300 * eps, so the equation is the standard one
+    # to double precision, the crossing time is eps * ln(8 / sqrt(k)) / 2 up
+    # to O(k ln k), and the tail slope is 1e-150.  Measured: 5.6e-16 *
+    # sqrt(eps) from tanh, 4.6e-16 from the asymptote.
+    prof = pp.sloped_profile(epsilon, 1e-150)
     k = 1e-300 * epsilon
     assert prof.crossing_time == pytest.approx(
         0.5 * epsilon * math.log(8.0 / math.sqrt(k)), rel=1e-15, abs=0.0
@@ -267,12 +266,12 @@ def test_tiny_theta_sloped_profile_is_the_standard_profile(epsilon):
     assert np.max(np.abs(d - pp.transition_profile_derivative(epsilon, s))) <= 2e-15 / root
 
 
-@pytest.mark.parametrize("epsilon, theta, convention", SLOPED_CASES)
-def test_sloped_derivative_matches_central_difference(epsilon, theta, convention):
-    # The derivative is the first integral sqrt(w / eps + c); checking it
-    # against the value's central difference keeps the two tied.  With h =
+@pytest.mark.parametrize("epsilon, x, form", SLOPED_CASES)
+def test_sloped_derivative_matches_central_difference(epsilon, x, form):
+    # The derivative is the first integral sqrt(w / eps + theta^2); checking
+    # it against the value's central difference keeps the two tied.  With h =
     # 1e-5 * crossing_time the measured relative gap is at most 7.1e-10.
-    prof = pp.sloped_profile(epsilon, theta, convention)
+    prof = pp.sloped_profile(epsilon, tail_slope(x, form))
     h = 1e-5 * prof.crossing_time
     s = np.linspace(-prof.crossing_time + 2 * h, prof.crossing_time - 2 * h, 2001)
     diff = (prof.value(s + h) - prof.value(s - h)) / (2.0 * h)
@@ -283,9 +282,9 @@ def test_sloped_derivative_matches_central_difference(epsilon, theta, convention
     assert np.all(prof.derivative(-outside) == prof.tail_slope)
 
 
-@pytest.mark.parametrize("convention", [THETA, SQRT_THETA])
-def test_sloped_profile_scalar_and_shaped_inputs(convention):
-    prof = pp.sloped_profile(1e-2, 8.0, convention)
+@pytest.mark.parametrize("form", [THETA, SQRT_THETA])
+def test_sloped_profile_scalar_and_shaped_inputs(form):
+    prof = pp.sloped_profile(1e-2, tail_slope(8.0, form))
     for s in (0.0, 0.3 * prof.crossing_time, prof.crossing_time, -2.0 * prof.crossing_time):
         for x in (s, np.float64(s), np.asarray(s)):
             assert type(prof.value(x)) is float
@@ -303,25 +302,25 @@ def test_sloped_profile_core_never_exceeds_the_band_edge():
     # never steps down onto the tail.
     rng = np.random.default_rng(7)
     for _ in range(300):
-        epsilon, theta = 10.0 ** rng.uniform(-5, 0), 10.0 ** rng.uniform(-3, 5)
-        prof = pp.sloped_profile(epsilon, theta, (THETA, SQRT_THETA)[rng.integers(2)])
+        epsilon, x = 10.0 ** rng.uniform(-5, 0), 10.0 ** rng.uniform(-3, 5)
+        prof = pp.sloped_profile(epsilon, tail_slope(x, (THETA, SQRT_THETA)[rng.integers(2)]))
         below = np.nextafter(prof.crossing_time, 0.0) * (1.0 - 2.0**-52 * np.arange(20))
         assert np.max(prof.value(below)) <= prof.value(prof.crossing_time) == math.sqrt(epsilon)
 
 
 @pytest.mark.parametrize(
-    "theta, convention",
+    "x, form",
     [
         (math.inf, THETA), (math.inf, SQRT_THETA), (math.nan, THETA),
-        (-1.0, SQRT_THETA),
+        (-1.0, THETA),
         (1e-200, THETA),  # theta^2 underflows to 0
         (1e200, THETA),  # theta^2 overflows
-        (1e-323, SQRT_THETA),  # c * eps underflows to 0
+        (1e-323, SQRT_THETA),  # theta^2 * eps underflows to 0
     ],
 )
-def test_sloped_profile_rejects_theta_without_a_profile(theta, convention):
+def test_sloped_profile_rejects_theta_without_a_profile(x, form):
     with pytest.raises(DomainError):
-        pp.sloped_profile(1e-2, theta, convention)
+        pp.sloped_profile(1e-2, tail_slope(x, form))
 
 
 def test_sloped_profile_rejects_bad_parameters():
@@ -329,5 +328,3 @@ def test_sloped_profile_rejects_bad_parameters():
         pp.sloped_profile(-1.0, 2.0)
     with pytest.raises(DomainError):
         pp.sloped_profile(1e-2, 0.0)
-    with pytest.raises(DomainError):
-        pp.sloped_profile(1e-2, 2.0, "no_such_convention")
