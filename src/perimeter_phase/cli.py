@@ -4,8 +4,8 @@ Each subcommand reads a JSON config, runs one experiment, and writes its
 outputs (CSV tables, JSON summaries, raw field dumps) into the output
 directory.  Outputs are byte-deterministic for a fixed config and seed:
 floats are printed with %.17g (lossless for float64), JSON keys are
-sorted, and the only randomness flows through a counter-based generator
-seeded from the config.
+sorted.  Only harmonic-check draws random numbers: it seeds a
+counter-based generator from the config, and it alone loads numpy.random.
 
 Config keys and their defaults live in one place: the key table of each
 subcommand in _TABLES (kind, seed and out, shared by all subcommands,
@@ -46,10 +46,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
-
-# Every run seeds a generator, so numpy.random, which numpy loads lazily,
-# loads with this module rather than inside the first run.
-from numpy.random import Generator, Philox
 
 from . import fieldio
 from . import energy as energy_mod
@@ -106,10 +102,6 @@ def _keep_freed_heap() -> None:
     if hasattr(libc, "mallopt"):
         libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
         libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
-def _rng(seed: int) -> Generator:
-    return Generator(Philox(seed))
 
 
 def _fmt(x: float) -> str:
@@ -399,7 +391,7 @@ def parse_config(kind: str, cfg: dict) -> dict:
 # Runners.  Each returns the list of paths it wrote.
 
 
-def _run_profile(cfg: dict, out_dir: str, rng) -> List[str]:
+def _run_profile(cfg: dict, out_dir: str) -> List[str]:
     epsilon = cfg["epsilon"]
     s = np.linspace(-cfg["s_max"], cfg["s_max"], cfg["count"])
     if cfg["profile_kind"] == "standard":
@@ -418,7 +410,7 @@ def _run_profile(cfg: dict, out_dir: str, rng) -> List[str]:
     return [path]
 
 
-def _run_energy(cfg: dict, out_dir: str, rng) -> List[str]:
+def _run_energy(cfg: dict, out_dir: str) -> List[str]:
     field = fieldio.load_field(cfg["field"])
     sup = float(np.max(np.abs(field.values)))
     state = PhaseState(field, cfg["epsilon"], bound_m=max(sup, 1.0))
@@ -444,7 +436,7 @@ def _recovery_input(cfg: dict):
     return ScalarField(domain, vals)
 
 
-def _run_recovery(cfg: dict, out_dir: str, rng) -> List[str]:
+def _run_recovery(cfg: dict, out_dir: str) -> List[str]:
     pair = SharpPair(field=_recovery_input(cfg), region=cfg["region"], bound_m=cfg["bound_m"])
     sharp_total = energy_mod.sharp_energy(pair).total
     rows = []
@@ -476,7 +468,7 @@ def _run_recovery(cfg: dict, out_dir: str, rng) -> List[str]:
     return [path] + written
 
 
-def _run_glue(cfg: dict, out_dir: str, rng) -> List[str]:
+def _run_glue(cfg: dict, out_dir: str) -> List[str]:
     u_field = fieldio.load_field(cfg["u_field"])
     v_field = fieldio.load_field(cfg["v_field"])
     epsilon = cfg["epsilon"]
@@ -516,7 +508,7 @@ def _run_glue(cfg: dict, out_dir: str, rng) -> List[str]:
     return [path, dump]
 
 
-def _run_barrier(cfg: dict, out_dir: str, rng) -> List[str]:
+def _run_barrier(cfg: dict, out_dir: str) -> List[str]:
     result = interpolation.build_barrier(
         cfg["domain"],
         interface_radius=cfg["interface_radius"],
@@ -558,7 +550,7 @@ def _initial_state(cfg: dict) -> PhaseState:
     return PhaseState(ScalarField(domain, vals), epsilon, bound_m)
 
 
-def _run_minimize(cfg: dict, out_dir: str, rng) -> List[str]:
+def _run_minimize(cfg: dict, out_dir: str) -> List[str]:
     state = _initial_state(cfg)
     config = minimize.MinimizeConfig(
         bound_m=state.bound_m,
@@ -584,7 +576,7 @@ def _run_minimize(cfg: dict, out_dir: str, rng) -> List[str]:
     return [path, dump]
 
 
-def _run_sweep(cfg: dict, out_dir: str, rng) -> List[str]:
+def _run_sweep(cfg: dict, out_dir: str) -> List[str]:
     entries = minimize.continuation_sweep(
         cfg["domain"],
         epsilons=cfg["epsilons"],
@@ -616,7 +608,7 @@ def _run_sweep(cfg: dict, out_dir: str, rng) -> List[str]:
     return [path]
 
 
-def _run_oracle1d(cfg: dict, out_dir: str, rng) -> List[str]:
+def _run_oracle1d(cfg: dict, out_dir: str) -> List[str]:
     oracle = minimize.sharp_oracle_1d(cfg["a"], cfg["b"])
     payload = {
         "interface": oracle.interface,
@@ -649,16 +641,19 @@ def _bilinear_upsample(coarse: np.ndarray, m: int) -> np.ndarray:
     return rows[:, i0] * w0[None, :] + rows[:, i1] * w1[None, :]
 
 
-def random_positive_field(domain: Domain, rng: Generator, floor: float) -> ScalarField:
+def random_positive_field(domain: Domain, rng: np.random.Generator, floor: float) -> ScalarField:
     """Smooth strictly positive random field, floor at the boundary and below."""
     coarse = rng.standard_normal((9, 9))
     smooth = _bilinear_upsample(coarse, domain.node_shape[0])
     return ScalarField(domain, floor + smooth * smooth)
 
 
-def _run_harmonic_check(cfg: dict, out_dir: str, rng) -> List[str]:
+def _run_harmonic_check(cfg: dict, out_dir: str) -> List[str]:
+    from numpy.random import Generator, Philox  # the only subcommand that draws
+
     count = cfg["count"]
     domain = Domain.box(-1.0, 1.0, cfg["n"])
+    rng = Generator(Philox(cfg["seed"]))
     fields = [random_positive_field(domain, rng, cfg["boundary_floor"]) for _ in range(count)]
 
     def process(field: ScalarField):
@@ -710,6 +705,8 @@ _RUNNERS: Dict[str, Callable] = {
 }
 
 
+# Built once per process: a pipeline may run several subcommands in one.
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perimeter-phase",
@@ -736,8 +733,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.command, cfg)
         out_dir = args.out if args.out is not None else cfg["out"]
         os.makedirs(out_dir, exist_ok=True)
-        rng = _rng(cfg["seed"])
-        written = _RUNNERS[args.command](cfg, out_dir, rng)
+        written = _RUNNERS[args.command](cfg, out_dir)
     except PerimeterPhaseError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2 if exc.code in _CONTRACT_CODES else 1

@@ -319,6 +319,13 @@ class IntervalUnion(Region):
         }
 
 
+def _plane_points(region: Region, x, y):
+    """x and y as float arrays; DomainError without y, as on an interval."""
+    if y is None:
+        raise DomainError(f"a {type(region).__name__} region needs a 2D domain, not an interval")
+    return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+
+
 @dataclass(frozen=True)
 class Disc(Region):
     center: Tuple[float, float]
@@ -335,8 +342,7 @@ class Disc(Region):
         object.__setattr__(self, "radius", float(self.radius))
 
     def signed_distance(self, x, y=None):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = _plane_points(self, x, y)
         out = np.empty(np.broadcast_shapes(x.shape, y.shape))
         np.hypot(_compact(x) - self.center[0], _compact(y) - self.center[1], out=out)
         return np.subtract(self.radius, out, out=out)
@@ -365,8 +371,7 @@ class HalfPlane(Region):
         object.__setattr__(self, "offset", float(self.offset) / norm)
 
     def signed_distance(self, x, y=None):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = _plane_points(self, x, y)
         return self.normal[0] * x + self.normal[1] * y - self.offset
 
     def to_dict(self) -> dict:
@@ -618,20 +623,28 @@ def per_cell_interface_lengths(values: np.ndarray, domain: Domain) -> np.ndarray
     cells are split according to the sign of the cell average.  On ball
     domains only cells at least half covered by the domain count.
     """
-    if values.dtype == bool:
-        vals = np.where(values, 1.0, -1.0)
-    else:
-        vals = np.asarray(values, dtype=float)
+    mask = values.dtype == bool
+    if not mask:
+        values = np.asarray(values, dtype=float)
+    inside = values if mask else values >= 0.0
     if domain.dim == 1:
-        inside = vals >= 0.0
         return (inside[:-1] != inside[1:]).astype(float)
 
-    corners = (vals[:-1, :-1], vals[1:, :-1], vals[1:, 1:], vals[:-1, 1:])
-    case = sum((1 << k) * (c >= 0.0) for k, c in enumerate(corners))
+    # Case codes from the corners' sign bits, one byte per cell; corner
+    # values are gathered on the cut cells only.
+    bits = inside.view(np.uint8)
+    case = bits[:-1, :-1] | bits[1:, :-1] << 1
+    case |= bits[1:, 1:] << 2
+    case |= bits[:-1, 1:] << 3
+    del inside, bits
     cut = (case != 0) & (case != 15)
     if domain.kind == "ball":
         cut &= domain.cell_weights >= 0.5 * domain.h * domain.h
-    v00, v10, v11, v01 = (c[cut] for c in corners)
+    corners = (values[:-1, :-1], values[1:, :-1], values[1:, 1:], values[:-1, 1:])
+    if mask:
+        v00, v10, v11, v01 = (np.where(c[cut], 1.0, -1.0) for c in corners)
+    else:
+        v00, v10, v11, v01 = (c[cut] for c in corners)
     case = case[cut]
     avg = 0.25 * (v00 + v10 + v11 + v01)
     saddle = (case == 5) | (case == 10)

@@ -256,6 +256,11 @@ def test_energy_run_reports_breakdown(tmp_path):
     assert data["phase_band_measure"] >= 0.0
 
 
+def test_parser_is_built_once_per_process():
+    # construct2d runs five subcommands in one process.
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_harmonic_check_bytes_deterministic(tmp_path, monkeypatch):
     payload = {"count": 3, "n": 64, "boundary_floor": 0.1, "seed": 11}
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -757,6 +762,56 @@ def test_cli_import_leaves_heavy_scipy_modules_out():
     assert _run_python(f"import sys, perimeter_phase.cli; print({_SCIPY_LOADED})") == "[]"
 
 
+_RANDOM_LOADED = "[m for m in sys.modules if m.startswith('numpy.random')]"
+
+
+def test_cli_import_leaves_numpy_random_out():
+    # Only harmonic-check draws random numbers; every other run would pay
+    # about 6 MB and 15 ms to load numpy.random.
+    assert _run_python(f"import sys, perimeter_phase.cli; print({_RANDOM_LOADED})") == "[]"
+
+
+def test_cli_runs_that_draw_nothing_run_without_numpy_random(tmp_path):
+    configs = {
+        "sweep": {"domain": INTERVAL, "epsilons": [1e-1, 5e-2], "bound_m": 1.0,
+                  "boundary": BOUNDARY, "max_iters": 100},
+        "recovery": {"domain": {"kind": "ball", "radius": 1.0, "n": 64},
+                     "region": {"type": "disc", "center": [0.1, 0.0], "radius": 0.5},
+                     "epsilons": [1e-1], "dump_fields": True},
+        "oracle1d": {"a": 1.0, "b": 3.0},
+    }
+    runs = []
+    for kind, payload in configs.items():
+        cfg = write_config(tmp_path / f"{kind}.json", payload)
+        runs.append([kind, "--config", cfg, "--out", str(tmp_path / kind), "--quiet"])
+    code = (
+        "import sys; sys.modules['numpy.random'] = None\n"
+        "from perimeter_phase import cli\n"
+        f"print([cli.main(argv) for argv in {runs!r}])"
+    )
+    assert _run_python(code) == "[0, 0, 0]"
+
+
+def test_harmonic_check_draws_its_fields_from_a_philox_stream_of_the_seed(tmp_path):
+    # The fields are those of Generator(Philox(seed)) in order, so moving
+    # where the generator is made changes no output byte.
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "h.json", {"count": 3, "n": 64, "boundary_floor": 0.2})
+    argv = ["harmonic-check", "--config", cfg, "--out", str(out), "--seed", "7", "--quiet"]
+    assert main(argv) == 0
+    rng = np.random.Generator(np.random.Philox(7))
+    domain = pp.Domain.box(-1.0, 1.0, 64)
+    lines = ["index,dirichlet_before,dirichlet_after,margin,strictly_positive"]
+    for i in range(3):
+        field = cli.random_positive_field(domain, rng, 0.2)
+        replaced = pp.harmonic_replacement(field)
+        before, after = pp.dirichlet_energy(field), pp.dirichlet_energy(replaced)
+        positive = "1" if np.all(replaced.values > 0.0) else "0"
+        lines.append(",".join([str(i)] + [cli._fmt(x) for x in (before, after, before - after)]
+                              + [positive]))
+    assert (out / "harmonic.csv").read_text() == "\n".join(lines) + "\n"
+
+
 def test_cli_runs_without_scipy(tmp_path):
     configs = {
         "harmonic-check": {"count": 10, "n": 64, "boundary_floor": 0.1},
@@ -814,6 +869,22 @@ def test_cli_keeps_freed_grid_arrays_in_the_heap(tmp_path):
     trimmed, kept = (int(_run_python(code, mode)) for mode in ("plain", "cli"))
     assert trimmed >= 10 * 512  # a 2 MB array is 512 pages
     assert kept < 100
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        {"type": "disc", "center": [0.0, 0.0], "radius": 0.5},
+        {"type": "half_plane", "normal": [1.0, 0.0], "offset": 0.0},
+        {"type": "complement", "inner": {"type": "disc", "center": [0.0, 0.0], "radius": 0.5}},
+        {"type": "union", "parts": [HALF_LINE, {"type": "half_plane", "normal": [0, 1], "offset": 0}]},
+    ],
+)
+def test_plane_region_on_an_interval_field_is_a_domain_error(tmp_path, capsys, field_path, region):
+    assert run(tmp_path, "energy", {"field": field_path, "epsilon": 1e-2, "region": region}) == 1
+    err = capsys.readouterr().err
+    assert "error[domain]" in err and "needs a 2D domain" in err
+    assert not (tmp_path / "energy.json").exists()
 
 
 @pytest.mark.parametrize("kind", ["union", "intersection"])

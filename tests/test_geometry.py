@@ -325,6 +325,33 @@ def test_empty_interval_union_is_nowhere():
     assert not pp.rasterize(reg, pp.Domain.interval(-1.0, 1.0, 8)).any()
 
 
+_PLANE_REGIONS = {
+    "disc": pp.Disc((0.0, 0.0), 0.5),
+    "half_plane": pp.HalfPlane((1.0, 0.0), 0.0),
+    "complement": pp.Complement(pp.Disc((0.0, 0.0), 0.5)),
+    "union": pp.Union((pp.IntervalUnion(((0.0, 0.5),)), pp.HalfPlane((0.0, 1.0), 0.0))),
+    "intersection": pp.Intersection((pp.FullSpace(), pp.Disc((0.2, 0.0), 0.5))),
+}
+
+
+@pytest.mark.parametrize("name", list(_PLANE_REGIONS))
+def test_plane_regions_on_an_interval_raise(name):
+    # A disc or half-plane needs y; an interval has none, and reading None
+    # as y gave NaN distances and NaN energies.
+    region = _PLANE_REGIONS[name]
+    dom = pp.Domain.interval(-1.0, 1.0, 16)
+    state = pp.PhaseState(pp.ScalarField(dom, np.sin(3.0 * dom.nodes_x)), 1e-1, 1.0)
+    for call in (
+        lambda: region.signed_distance(dom.nodes_x),
+        lambda: pp.rasterize(region, dom),
+        lambda: region_cell_fraction(region, dom),
+        lambda: pp.e_eps(state, subdomain=region),
+        lambda: pp.SharpPair(pp.ScalarField(dom, dom.nodes_x), region=region),
+    ):
+        with pytest.raises(DomainError, match="needs a 2D domain"):
+            call()
+
+
 def test_half_plane_normalizes():
     hp = pp.HalfPlane((3.0, 4.0), 1.0)
     assert math.hypot(*hp.normal) == pytest.approx(1.0, rel=1e-15)
@@ -736,3 +763,20 @@ def test_marching_squares_matches_scalar_reference(kind):
             if kind == "ball" and dom.cell_weights[i, j] < 0.5 * dom.h * dom.h:
                 expect = 0.0
             assert got[i, j] == pytest.approx(expect, rel=1e-13, abs=1e-15)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["interval", "box", "ball"]),
+    n=st.integers(2, 20),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.0, 1.0),
+)
+def test_mask_and_its_unit_image_give_the_same_cell_lengths(kind, n, seed, density):
+    from perimeter_phase.geometry import per_cell_interface_lengths
+
+    dom = pp.Domain.ball(1.0, n) if kind == "ball" else pp.Domain(kind=kind, n=n)
+    mask = np.random.default_rng(seed).random(dom.node_shape) < density
+    from_mask = per_cell_interface_lengths(mask, dom)
+    from_image = per_cell_interface_lengths(np.where(mask, 1.0, -1.0), dom)
+    assert from_mask.tobytes() == from_image.tobytes()

@@ -20,10 +20,12 @@ N = 256
 EPS = 1e-2
 
 # Measured: 2.0008, 3.2371, 3.2372, 3.4321, 4.3649, 3.3625, 1.2520, 1.2520,
-# 1.9861, 2.0078, 5.5234, 0.0220.  A disc's distances are one grid array plus
-# numpy's fixed-size ufunc buffers (a quarter of a grid array at n = 256);
-# recovery holds the input field, its node distances and one scale's build;
-# save_binary writes a little-endian float64 field without a copy.
+# 1.9861, 2.0078, 5.5234, 0.0220, 1.4183.  A disc's distances are one grid
+# array plus numpy's fixed-size ufunc buffers (a quarter of a grid array at
+# n = 256); recovery holds the input field, its node distances and one
+# scale's build; save_binary writes a little-endian float64 field without a
+# copy; marching squares holds its result, one byte per cell for the case
+# codes and the cut flags, and arrays over the cut cells only.
 LIMITS = {
     "h_tilde": 2.1,
     "tv_phase": 3.3,
@@ -37,6 +39,7 @@ LIMITS = {
     "annulus_stencil": 2.1,
     "run_recovery_three_scales": 5.6,
     "save_binary": 0.1,
+    "interface_length_mask": 1.5,
 }
 
 
@@ -52,6 +55,7 @@ def kernels(tmp_path_factory):
     spec = pp.AnnulusSpec(0.6, 0.2, 1.0)
     scaled = u.values / math.sqrt(EPS)
     disc = pp.Disc((0.1, 0.0), 0.7)
+    mask = pp.rasterize(disc, dom)
     radial = interpolation._radial_nodes(dom)
     out = str(tmp_path_factory.mktemp("recovery"))
     dump = str(tmp_path_factory.mktemp("dump") / "u.f64")
@@ -78,8 +82,9 @@ def kernels(tmp_path_factory):
         "rasterize_disc": lambda: pp.rasterize(disc, dom),
         "region_cell_fraction_disc": lambda: geometry.region_cell_fraction(disc, dom),
         "annulus_stencil": lambda: interpolation._annulus_stencil(dom, radial, spec),
-        "run_recovery_three_scales": lambda: cli._run_recovery(recovery_cfg(), out, None),
+        "run_recovery_three_scales": lambda: cli._run_recovery(recovery_cfg(), out),
         "save_binary": lambda: fieldio.save_binary(u.field, dump),
+        "interface_length_mask": lambda: pp.interface_length(mask, dom),
     }
     return calls, zeros.nbytes
 
