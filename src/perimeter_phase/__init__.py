@@ -17,7 +17,7 @@ from .errors import (
     ResolutionError,
     UnsupportedRegionError,
 )
-from .potential import C0, c0, h, h_tilde, h_tilde_inverse, w, w_prime
+from .potential import C0, h_tilde, w, w_prime
 from .profiles1d import (
     SlopedProfile,
     sloped_profile,
@@ -45,13 +45,11 @@ from .geometry import (
 from .energy import (
     EnergyBreakdown,
     MMSplit,
-    PhaseMeasure,
     PhaseState,
     ScalarField,
     SharpPair,
     dirichlet_energy,
     e_eps,
-    intermediate_phase_measure,
     l1_gap,
     l2_gap,
     modica_mortola_split,
@@ -60,7 +58,7 @@ from .energy import (
     tv_phase,
     well_energy,
 )
-from .recovery import RecoveryReport, build_recovery, recovery_curve
+from .recovery import RecoveryReport, build_recovery
 from .interpolation import (
     AnnulusSpec,
     BarrierResult,
@@ -69,7 +67,6 @@ from .interpolation import (
     barrier_feasibility_threshold,
     build_barrier,
     glue,
-    sandwich_volumes,
 )
 from .minimize import (
     MinimizeConfig,

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import functools
 import json
 import math
@@ -113,15 +114,6 @@ def _write_csv(path: str, header: List[str], rows: List[List[str]]) -> None:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(row) + "\n")
-
-
-def _breakdown_dict(b) -> dict:
-    return {
-        "dirichlet": b.dirichlet,
-        "well": b.well,
-        "perimeter_weighted": b.perimeter_weighted,
-        "total": b.total,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +407,7 @@ def _run_energy(cfg: dict, out_dir: str) -> List[str]:
     sup = float(np.max(np.abs(field.values)))
     state = PhaseState(field, cfg["epsilon"], bound_m=max(sup, 1.0))
     breakdown = energy_mod.e_eps(state, subdomain=cfg["region"])
-    payload = _breakdown_dict(breakdown)
+    payload = dataclasses.asdict(breakdown)
     payload["tv_phase"] = energy_mod.tv_phase(state)
     payload["phase_band_measure"] = energy_mod.phase_band_measure(state)
     path = os.path.join(out_dir, "energy.json")
@@ -489,7 +481,7 @@ def _run_glue(cfg: dict, out_dir: str) -> List[str]:
         "annulus_energy": report.annulus_energy,
         "budget_gamma": report.budget_gamma,
         "parts_energy": report.parts_energy,
-        "total": _breakdown_dict(report.total_energy),
+        "total": dataclasses.asdict(report.total_energy),
         "excess": report.excess,
         "within_third": report.within_third,
         "stages": [
@@ -519,7 +511,7 @@ def _run_barrier(cfg: dict, out_dir: str) -> List[str]:
     dump = os.path.join(out_dir, "barrier.f64")
     fieldio.save_binary(result.state.field, dump)
     payload = {
-        "energy": _breakdown_dict(result.energy),
+        "energy": dataclasses.asdict(result.energy),
         "bound": result.bound,
         "perimeter_term": result.perimeter_term,
         "tent_dirichlet": result.tent_dirichlet,
@@ -562,7 +554,7 @@ def _run_minimize(cfg: dict, out_dir: str) -> List[str]:
     dump = os.path.join(out_dir, "minimized.f64")
     fieldio.save_binary(result.state.field, dump)
     payload = {
-        "energy": _breakdown_dict(breakdown),
+        "energy": dataclasses.asdict(breakdown),
         "iterations": result.iterations,
         "grad_sup": result.grad_sup,
         "converged": result.converged,

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import geometry, potential
-from .errors import DomainError, InvalidPairError, UnsupportedRegionError
+from .errors import DomainError, InvalidPairError
 from .geometry import Domain, Region
 
 _SIGN_TOL = 1e-12
@@ -164,28 +164,6 @@ class MMSplit:
     excess_dirichlet: float
 
 
-@dataclass(frozen=True)
-class PhaseMeasure:
-    measure: float
-    bound: float
-    c_delta: float
-
-
-def _cell_weights(domain: Domain, fraction: Optional[np.ndarray]) -> np.ndarray:
-    """Cell weights, times a subdomain's cell fractions when given; the
-    product overwrites the fractions."""
-    if fraction is None:
-        return domain.cell_weights
-    return np.multiply(fraction, domain.cell_weights, out=fraction)
-
-
-def _subdomain_fraction(domain: Domain, subdomain: Optional[Region]):
-    """A subdomain's cell fractions, or None without a subdomain."""
-    if subdomain is None:
-        return None
-    return geometry.region_cell_fraction(subdomain, domain)
-
-
 def _cell_stencil(values: np.ndarray):
     """A node array's cell anchors and their forward neighbours, one per axis."""
     if values.ndim == 1:
@@ -253,65 +231,48 @@ def _weighted_sum(values: np.ndarray, weights: np.ndarray, h=None, epsilon=None)
     return float(np.sum(np.multiply(dens, weights, out=dens)))
 
 
-def dirichlet_energy(field: ScalarField, subdomain: Optional[Region] = None) -> float:
+def dirichlet_energy(field: ScalarField) -> float:
     """Sum of |forward-difference gradient|^2 times cell weights."""
     domain = field.domain
-    weights = _cell_weights(domain, _subdomain_fraction(domain, subdomain))
-    return _weighted_sum(field.values, weights, h=domain.h)
+    return _weighted_sum(field.values, domain.cell_weights, h=domain.h)
 
 
-def well_energy(
-    field: ScalarField, epsilon: float, subdomain: Optional[Region] = None
-) -> float:
+def well_energy(field: ScalarField, epsilon: float) -> float:
     """Sum of w(u / sqrt(eps)) / eps at anchor nodes times cell weights."""
     if not (epsilon > 0):
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    domain = field.domain
-    weights = _cell_weights(domain, _subdomain_fraction(domain, subdomain))
-    return _weighted_sum(field.values, weights, epsilon=epsilon)
+    return _weighted_sum(field.values, field.domain.cell_weights, epsilon=epsilon)
 
 
 def e_eps(state: PhaseState, subdomain: Optional[Region] = None) -> EnergyBreakdown:
     """Diffuse energy of a state, optionally restricted to a subregion.
 
-    The same as dirichlet_energy + well_energy, with the subdomain's cell
-    weights computed once for both sums.
+    The same as dirichlet_energy + well_energy.  A subdomain scales each
+    cell weight by the fraction of the cell it covers, computed once for
+    both sums.
     """
     domain = state.domain
-    weights = _cell_weights(domain, _subdomain_fraction(domain, subdomain))
+    weights = domain.cell_weights
+    if subdomain is not None:
+        fraction = geometry.region_cell_fraction(subdomain, domain)
+        weights = np.multiply(fraction, weights, out=fraction)
     d = _weighted_sum(state.values, weights, h=domain.h)
     w = _weighted_sum(state.values, weights, epsilon=state.epsilon)
     return EnergyBreakdown(dirichlet=d, well=w, perimeter_weighted=0.0, total=d + w)
 
 
-def sharp_energy(pair: SharpPair, subdomain: Optional[Region] = None) -> EnergyBreakdown:
+def sharp_energy(pair: SharpPair) -> EnergyBreakdown:
     """Dirichlet energy plus the weighted perimeter of the pair's set."""
     domain = pair.field.domain
-    if pair.region is not None and subdomain is not None:
-        raise UnsupportedRegionError(
-            "perimeter restricted to a subdomain is only supported for mask pairs"
-        )
-    fraction = _subdomain_fraction(domain, subdomain)
     if pair.region is not None:
         per = geometry.exact_perimeter(pair.region, domain)
     else:
-        per = _mask_interface_length(pair.mask, domain, fraction)
-    d = _weighted_sum(pair.field.values, _cell_weights(domain, fraction), h=domain.h)
+        per = geometry.interface_length(pair.mask, domain)
+    d = _weighted_sum(pair.field.values, domain.cell_weights, h=domain.h)
     weighted = potential.C0 * per
     return EnergyBreakdown(
         dirichlet=d, well=0.0, perimeter_weighted=weighted, total=d + weighted
     )
-
-
-def _mask_interface_length(
-    mask: np.ndarray, domain: Domain, fraction: Optional[np.ndarray]
-) -> float:
-    if fraction is None:
-        return geometry.interface_length(mask, domain)
-    # Count only interface in cells at least half covered by the subdomain.
-    include = fraction >= 0.5
-    total = np.sum(geometry.per_cell_interface_lengths(mask, domain) * include)
-    return float(total * domain.h if domain.dim == 2 else total)
 
 
 def tv_phase(state: PhaseState) -> float:
@@ -347,25 +308,6 @@ def modica_mortola_split(state: PhaseState) -> MMSplit:
     excess_d = _weighted_sum(excess, state.domain.cell_weights, h=state.domain.h)
     rhs = 0.5 * potential.C0 * tv + excess_d
     return MMSplit(lhs=lhs, rhs=rhs, tv_term=tv, excess_dirichlet=excess_d)
-
-
-def intermediate_phase_measure(state: PhaseState, delta: float) -> PhaseMeasure:
-    """Volume where the compressed phase is far from both wells.
-
-    measure is the node-weight volume of {|h_tilde(u/sqrt(eps))| <= 1 - 2*delta};
-    bound is C(delta) * eps * well_energy with C(delta) =
-    1 / w(h_tilde_inverse(1 - delta)).  The discrete inequality
-    measure <= bound holds exactly because both sides share node weights.
-    """
-    if not (0.0 < delta < 0.5):
-        raise DomainError(f"delta must lie in (0, 1/2), got {delta}")
-    root_eps = math.sqrt(state.epsilon)
-    p = potential.h_tilde(state.values / root_eps)
-    band = np.abs(p) <= 1.0 - 2.0 * delta
-    measure = float(np.sum(state.domain.node_weights[band]))
-    c_delta = 1.0 / potential.w(potential.h_tilde_inverse(1.0 - delta))
-    bound = c_delta * state.epsilon * well_energy(state.field, state.epsilon)
-    return PhaseMeasure(measure=measure, bound=bound, c_delta=c_delta)
 
 
 def phase_band_measure(state: PhaseState) -> float:

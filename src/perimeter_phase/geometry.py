@@ -140,12 +140,6 @@ class Domain:
             )
         return Disc(self.center, self.radius).signed_distance(x, y)
 
-    def node_points(self):
-        """Node coordinates: x array, or (x, y) arrays in 2D."""
-        if self.dim == 1:
-            return self.nodes_x
-        return self.nodes_x, self.nodes_y
-
     def to_dict(self) -> dict:
         if self.kind == "ball":
             return {

@@ -381,25 +381,6 @@ def glue(
     return out_state, report
 
 
-def sandwich_volumes(
-    inner_vals: np.ndarray,
-    outer_vals: np.ndarray,
-    levels: np.ndarray,
-    domain: Domain,
-) -> np.ndarray:
-    """Node-weight volume of {inner < level < outer} per level.
-
-    Integrating these volumes over levels recovers the node-weight L1
-    norm of max(outer - inner, 0), which is how the scan's average-case
-    budget argument is checked in tests.
-    """
-    w = domain.node_weights
-    out = np.empty(len(levels))
-    for i, s in enumerate(np.asarray(levels, dtype=float)):
-        out[i] = float(np.sum(w * ((inner_vals < s) & (s < outer_vals))))
-    return out
-
-
 @dataclass(frozen=True)
 class BarrierResult:
     state: PhaseState

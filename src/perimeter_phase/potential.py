@@ -1,30 +1,23 @@
-"""Double-well potential and the phase functions built from it.
+"""Double-well potential and the compressed phase built from it.
 
 The well is ``w(t) = (1 - t^2)^2`` inside [-1, 1] and zero outside, so it
 vanishes exactly once the argument saturates.  ``w`` can write into a
 given buffer, and with ``prime=`` it also writes ``w'`` from the same
 ``1 - t^2``: the descent reads the well and its slope at an iterate from
-one pass.  ``w_prime`` shares that slope formula.  Two antiderivative-style
-maps come with it:
+one pass.  ``w_prime`` shares that slope formula.
 
-* ``h``: the signed area ``2 * integral_0^t sqrt(w)``, clamped at the
-  saturation value +/- 4/3.  Its total rise ``2 * h(1)`` is the cost of one
-  unit of interface, exposed as ``c0()``.
-* ``h_tilde``: ``h`` rescaled to land on [-1, 1]; the discrete total
-  variation of ``h_tilde`` composed with a state counts interfaces in
-  multiples of 2 (one full swing from -1 to +1).
-
-``h_tilde_inverse`` inverts the monotone cubic ``t * (3 - t^2) / 2`` on
-[-1, 1] in closed form (the trigonometric solution of the cubic); it is
-used when converting a target phase value back into the amplitude
-variable.
+``h_tilde`` is the signed area ``2 * integral_0^t sqrt(w)`` divided by its
+saturation value 4/3, so it maps [-1, 1] onto [-1, 1]; the discrete total
+variation of ``h_tilde`` composed with a state counts interfaces in
+multiples of 2 (one full swing from -1 to +1).  The area's total rise
+across the well, 8/3, is the cost of one unit of interface, ``C0``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Total rise of h across the well: 2 * h(1) = 2 * (2 - 2/3) ... see c0().
+# Interface cost per unit perimeter: 2 * integral_{-1}^{1} sqrt(w) = 8/3.
 C0 = 8.0 / 3.0
 
 
@@ -75,22 +68,11 @@ def w_prime(t):
     return _scalar_or_array(_slope(s, t, s), t)
 
 
-def h(t):
-    """Signed well area 2t - (2/3) t^3, clamped to +/- 4/3 outside [-1, 1].
-
-    Antiderivative of 2 * sqrt(w) with h(0) = 0.
-    """
-    t = _as_array(t)
-    tc = np.clip(t, -1.0, 1.0)
-    out = 2.0 * tc - (2.0 / 3.0) * tc**3
-    return _scalar_or_array(out, t)
-
-
 def h_tilde(t, out=None):
-    """``h`` rescaled by its saturation value, mapping [-1, 1] onto [-1, 1].
+    """Compressed phase: 2 * integral_0^t sqrt(w) over its saturation value 4/3.
 
-    Closed form t * (3 - t^2) / 2 inside the well, clamped outside.  With
-    out, which may be t itself, the result is written there.
+    Closed form t * (3 - t^2) / 2 inside the well, clamped to +/- 1
+    outside.  With out, which may be t itself, the result is written there.
     """
     t = _as_array(t)
     tc = np.clip(t, -1.0, 1.0, out=np.empty(t.shape) if out is None else out)
@@ -98,23 +80,3 @@ def h_tilde(t, out=None):
     tc *= 0.5
     tc *= np.subtract(3.0, factor, out=factor)
     return _scalar_or_array(tc, t)
-
-
-def h_tilde_inverse(y):
-    """Inverse of ``h_tilde`` restricted to [-1, 1].
-
-    Closed form t = 2 sin(arcsin(y) / 3): with t = 2 sin(a) the cubic
-    t * (3 - t^2) / 2 is sin(3a).  The saturation inputs +/-1 map to +/-1
-    exactly, which the rounded sine alone would miss by one ULP.
-    """
-    y = _as_array(y)
-    if np.any(np.abs(y) > 1.0 + 1e-12):
-        raise ValueError("h_tilde_inverse requires values in [-1, 1]")
-    yc = np.clip(y, -1.0, 1.0)
-    t = np.where(np.abs(yc) == 1.0, yc, 2.0 * np.sin(np.arcsin(yc) / 3.0))
-    return _scalar_or_array(t, y)
-
-
-def c0() -> float:
-    """Interface cost per unit perimeter: total rise of ``h`` = 8/3."""
-    return C0

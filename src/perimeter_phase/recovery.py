@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -93,10 +93,3 @@ def build_recovery(
         h_tilde_l1_gap=h_l1,
     )
     return state, report
-
-
-def recovery_curve(
-    pair: SharpPair, epsilons: Sequence[float], kappa: float = 0.1
-) -> List[RecoveryReport]:
-    """Recovery reports along a decreasing scale schedule."""
-    return [build_recovery(pair, e, kappa)[1] for e in energy_mod.epsilon_schedule(epsilons)]

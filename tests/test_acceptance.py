@@ -25,10 +25,10 @@ C_TV = 40.0
 def test_criterion_01_surface_tension():
     oracle, err = quad(lambda t: 2.0 * math.sqrt(pp.w(t)), 0.0, 1.0)
     oracle *= 2.0
-    gap = abs(pp.c0() - oracle)
-    passed = pp.c0() == 8.0 / 3.0 and gap <= 1e-9
+    gap = abs(pp.C0 - oracle)
+    passed = pp.C0 == 8.0 / 3.0 and gap <= 1e-9
     record_criterion(
-        1, passed, f"c0 = 8/3 exactly, quadrature gap {gap:.3e} <= 1e-9"
+        1, passed, f"C0 = 8/3 exactly, quadrature gap {gap:.3e} <= 1e-9"
     )
     assert passed
 
@@ -158,7 +158,7 @@ def test_criterion_06_tv_compactness(mm_family, recovery_bundle, sweep_bundle):
             total = pp.e_eps(state).total
         if tv is None:
             tv = pp.tv_phase(state)
-        defect = (tv - (2.0 / pp.c0()) * total) / state.domain.h
+        defect = (tv - (2.0 / pp.C0) * total) / state.domain.h
         worst = max(worst, defect)
         count += 1
 
@@ -176,7 +176,7 @@ def test_criterion_06_tv_compactness(mm_family, recovery_bundle, sweep_bundle):
     record_criterion(
         6,
         passed,
-        f"max (tv - (2/c0) E)/h = {worst:.2f} <= {C_TV} over {count} states",
+        f"max (tv - (2/C0) E)/h = {worst:.2f} <= {C_TV} over {count} states",
     )
     assert passed
 
@@ -255,7 +255,7 @@ def test_criterion_09_glue_contract():
         inner_state=v_state, outer_state=u_state, spec=spec, budget=gamma
     )
 
-    x, y = domain.node_points()
+    x, y = domain.nodes_x, domain.nodes_y
     r = np.hypot(x, y)
     inner_zone = r <= 0.6
     outer_zone = r >= 0.8

@@ -364,9 +364,9 @@ def test_recovery_run_with_builtin(tmp_path):
     assert len(lines) == 3
     rows = [[float(t) for t in line.split(",")] for line in lines[1:]]
     # zero field over a half line: the sharp energy is one interface cost
-    assert rows[0][4] == pytest.approx(pp.c0(), rel=1e-12)
+    assert rows[0][4] == pytest.approx(pp.C0, rel=1e-12)
     assert rows[1][4] == rows[0][4]
-    assert rows[1][3] == pytest.approx(pp.c0(), rel=2e-2)
+    assert rows[1][3] == pytest.approx(pp.C0, rel=2e-2)
     assert rows[1][5] < rows[0][5]
     assert rows[1][6] < rows[0][6]
     dumped = fieldio.load_field(str(tmp_path / "recovery_001.f64"))
@@ -429,7 +429,7 @@ def test_barrier_run(tmp_path):
     assert data["feasible"] is True
     assert data["within_bound"] is True
     assert data["energy"]["total"] <= data["bound"]
-    assert data["bound"] == pytest.approx(2.0 * pp.c0() + 16.0 + 1.0, rel=1e-12)
+    assert data["bound"] == pytest.approx(2.0 * pp.C0 + 16.0 + 1.0, rel=1e-12)
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):

@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 import perimeter_phase as pp
-from perimeter_phase import energy, geometry, minimize, recovery
-from perimeter_phase.errors import (
-    DomainError,
-    InvalidPairError,
-    UnsupportedRegionError,
-)
+from perimeter_phase import energy, geometry, minimize
+from perimeter_phase.errors import DomainError, InvalidPairError
 
 
 def interval_state(n, values_fn, epsilon=1e-2, bound=1.0):
@@ -70,7 +66,7 @@ def test_dirichlet_energy_linear_exact():
     assert pp.dirichlet_energy(state.field) == pytest.approx(2.0, rel=1e-13)
     # restriction to the right half via a half-line region
     half = pp.IntervalUnion(((0.0, np.inf),))
-    assert pp.dirichlet_energy(state.field, half) == pytest.approx(1.0, rel=1e-13)
+    assert pp.e_eps(state, half).dirichlet == pytest.approx(1.0, rel=1e-13)
 
 
 def test_dirichlet_energy_sine():
@@ -100,7 +96,7 @@ def test_e_eps_of_transition_profile_approaches_surface_tension():
     vals = pp.transition_profile(eps, dom.nodes_x)
     state = pp.PhaseState(pp.ScalarField(dom, vals), eps, 1.0)
     total = pp.e_eps(state).total
-    assert abs(total - pp.c0()) / pp.c0() <= 1e-3
+    assert abs(total - pp.C0) / pp.C0 <= 1e-3
 
 
 def test_e_eps_splits_additively_on_complement():
@@ -127,8 +123,8 @@ def test_sharp_energy_half_line():
     )
     breakdown = pp.sharp_energy(pair)
     assert breakdown.dirichlet == pytest.approx(2.0, rel=1e-13)
-    assert breakdown.perimeter_weighted == pytest.approx(pp.c0(), rel=1e-14)
-    assert breakdown.total == pytest.approx(2.0 + pp.c0(), rel=1e-13)
+    assert breakdown.perimeter_weighted == pytest.approx(pp.C0, rel=1e-14)
+    assert breakdown.total == pytest.approx(2.0 + pp.C0, rel=1e-13)
 
 
 def test_sharp_energy_disc_region_and_mask():
@@ -137,7 +133,7 @@ def test_sharp_energy_disc_region_and_mask():
     disc = pp.Disc((0.0, 0.0), 0.5)
     pair = pp.SharpPair(pp.ScalarField(dom, zeros), region=disc)
     exact = pp.sharp_energy(pair)
-    assert exact.perimeter_weighted == pytest.approx(pp.c0() * math.pi, rel=1e-14)
+    assert exact.perimeter_weighted == pytest.approx(pp.C0 * math.pi, rel=1e-14)
     # mask route estimates the same perimeter from the rasterized set
     pair_mask = pp.SharpPair(
         pp.ScalarField(dom, zeros), mask=pp.rasterize(disc, dom)
@@ -145,13 +141,6 @@ def test_sharp_energy_disc_region_and_mask():
     approx = pp.sharp_energy(pair_mask)
     assert approx.perimeter_weighted == pytest.approx(
         exact.perimeter_weighted, rel=0.08
-    )
-    # subdomain restriction needs the mask route
-    with pytest.raises(UnsupportedRegionError):
-        pp.sharp_energy(pair, subdomain=pp.HalfPlane((1.0, 0.0), 0.0))
-    half = pp.sharp_energy(pair_mask, subdomain=pp.HalfPlane((1.0, 0.0), 0.0))
-    assert half.perimeter_weighted == pytest.approx(
-        0.5 * approx.perimeter_weighted, rel=0.05
     )
 
 
@@ -195,16 +184,12 @@ def test_subdomain_energies_compute_cell_fractions_once(monkeypatch):
     monkeypatch.setattr(geometry, "region_cell_fraction", counting)
     breakdown = pp.e_eps(state, sub)
     assert len(calls) == 1
-    dirichlet = pp.dirichlet_energy(field, sub)
-    well = pp.well_energy(field, 1e-2, sub)
+    # Both sums weight each cell by its covered fraction times its weight.
+    weights = real(sub, dom) * dom.cell_weights
+    dirichlet = np.sum(energy._cell_density(values, h=dom.h) * weights)
+    well = np.sum(energy._cell_density(values, epsilon=1e-2) * weights)
     assert (breakdown.dirichlet, breakdown.well) == (dirichlet, well)
     assert breakdown.total == dirichlet + well
-
-    calls.clear()
-    pair = pp.SharpPair(field, mask=values >= 0.0)
-    sharp = pp.sharp_energy(pair, sub)
-    assert len(calls) == 1
-    assert sharp.dirichlet == dirichlet
 
 
 def test_tv_phase_step_1d():
@@ -230,7 +215,7 @@ def test_modica_mortola_split_fields():
     assert split.lhs == pytest.approx(pp.e_eps(state).total, rel=1e-14)
     assert split.tv_term == pytest.approx(pp.tv_phase(state), rel=1e-14)
     assert split.rhs == pytest.approx(
-        0.5 * pp.c0() * split.tv_term + split.excess_dirichlet, rel=1e-14
+        0.5 * pp.C0 * split.tv_term + split.excess_dirichlet, rel=1e-14
     )
     shifted = np.sign(state.values) * np.maximum(
         np.abs(state.values) - math.sqrt(state.epsilon), 0.0
@@ -263,29 +248,6 @@ def test_modica_mortola_split_underresolved_defect():
     split = pp.modica_mortola_split(pp.PhaseState(pp.ScalarField(dom, u), 1e-4, 1.0))
     defect = split.rhs - split.lhs
     assert defect == pytest.approx(2.5498666666666665, rel=1e-12)
-
-
-def test_intermediate_phase_measure_inequality():
-    rng = np.random.default_rng(37)
-    dom = pp.Domain.interval(-1.0, 1.0, 512)
-    for _ in range(25):
-        u = np.clip(rng.normal(0.0, 0.3, dom.node_shape), -0.9, 0.9)
-        state = pp.PhaseState(pp.ScalarField(dom, u), 1e-2, 1.0)
-        for delta in (0.1, 0.25, 0.4):
-            pm = pp.intermediate_phase_measure(state, delta)
-            assert pm.measure <= pm.bound
-    with pytest.raises(DomainError):
-        pp.intermediate_phase_measure(state, 0.5)
-    with pytest.raises(DomainError):
-        pp.intermediate_phase_measure(state, 0.0)
-
-
-def test_intermediate_phase_measure_saturated_state():
-    # fully saturated states have zero intermediate phase
-    eps = 1e-2
-    state = interval_state(64, lambda x: np.where(x >= 0, 1.0, -1.0) * math.sqrt(eps))
-    pm = pp.intermediate_phase_measure(state, 0.25)
-    assert pm.measure == 0.0
 
 
 def test_phase_band_measure():
@@ -368,9 +330,10 @@ def test_cell_density_only_reads_its_inputs():
 NON_FINITE_SCHEDULES = [[math.nan], [0.1, math.nan, 0.01], [math.inf, 0.1]]
 
 
-@pytest.mark.parametrize("epsilons", NON_FINITE_SCHEDULES)
+# Empty, increasing and negative schedules break the same rule.
+@pytest.mark.parametrize("epsilons", NON_FINITE_SCHEDULES + [[], [1e-2, 1e-1], [1e-1, -1e-2]])
 def test_epsilon_schedule_rejects_non_finite_scales(epsilons):
-    with pytest.raises(DomainError, match="finite"):
+    with pytest.raises(DomainError, match="nonempty, finite, positive and strictly decreasing"):
         energy.epsilon_schedule(epsilons)
 
 
@@ -380,12 +343,6 @@ def test_schedule_users_reject_non_finite_scales_before_any_work(epsilons, monke
         raise AssertionError("a scale was computed before the schedule was checked")
 
     monkeypatch.setattr(minimize, "minimize_e_eps", work)
-    monkeypatch.setattr(recovery, "build_recovery", work)
     dom = pp.Domain.interval(-1.0, 1.0, 64)
     with pytest.raises(DomainError, match="finite"):
         pp.continuation_sweep(dom, epsilons, -1.0, 1.0, bound_m=1.0)
-    pair = pp.SharpPair(
-        pp.ScalarField(dom, np.zeros(dom.node_shape)), region=pp.IntervalUnion(((0.0, np.inf),))
-    )
-    with pytest.raises(DomainError, match="finite"):
-        pp.recovery_curve(pair, epsilons)

@@ -538,7 +538,7 @@ def test_interface_length_disc_converges_second_order():
     errors = []
     for n, tol in ((256, 2e-5), (512, 5e-6), (1024, 1.5e-6)):
         dom = pp.Domain.box(-1.0, 1.0, n)
-        sd = disc.signed_distance(*dom.node_points())
+        sd = disc.signed_distance(dom.nodes_x, dom.nodes_y)
         length = pp.interface_length(sd, dom)
         rel = abs(length - math.pi) / math.pi
         assert rel <= tol
@@ -550,7 +550,7 @@ def test_interface_length_disc_converges_second_order():
 def test_interface_length_half_plane_exact():
     hp = pp.HalfPlane((0.6, 0.8), 0.1)
     dom = pp.Domain.box(-1.0, 1.0, 256)
-    sd = hp.signed_distance(*dom.node_points())
+    sd = hp.signed_distance(dom.nodes_x, dom.nodes_y)
     assert pp.interface_length(sd, dom) == pytest.approx(
         pp.exact_perimeter(hp, dom), rel=1e-12
     )
@@ -561,7 +561,7 @@ def test_interface_length_boolean_overestimates():
     # systematic overestimate is a few percent
     disc = pp.Disc((0.0, 0.0), 0.5)
     dom = pp.Domain.box(-1.0, 1.0, 1024)
-    sd = disc.signed_distance(*dom.node_points())
+    sd = disc.signed_distance(dom.nodes_x, dom.nodes_y)
     length = pp.interface_length(sd >= 0.0, dom)
     rel = (length - math.pi) / math.pi
     assert 0.04 <= rel <= 0.07
@@ -570,7 +570,7 @@ def test_interface_length_boolean_overestimates():
 def test_interface_length_ball_domain():
     disc = pp.Disc((0.0, 0.0), 0.5)
     dom = pp.Domain.ball(1.0, 512)
-    sd = disc.signed_distance(*dom.node_points())
+    sd = disc.signed_distance(dom.nodes_x, dom.nodes_y)
     length = pp.interface_length(sd, dom)
     assert abs(length - math.pi) / math.pi <= 5e-6
 

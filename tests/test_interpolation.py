@@ -244,27 +244,11 @@ def test_glue_rejects_mismatched_states():
         pp.glue(a, a, pp.AnnulusSpec(0.9, 0.3, 1.0), budget=1.0)
 
 
-def test_sandwich_volumes_fubini():
-    # integrating the sandwich volumes over levels recovers the weighted
-    # L1 norm of (outer - inner)+
-    dom = pp.Domain.box(-1.0, 1.0, 64)
-    rng = np.random.default_rng(67)
-    inner = np.clip(rng.normal(-0.2, 0.2, dom.node_shape), -0.9, 0.9)
-    outer = inner + np.abs(rng.normal(0.3, 0.2, dom.node_shape))
-    outer = np.clip(outer, -0.9, 0.9)
-    inner = np.minimum(inner, outer)
-    levels = np.linspace(-1.0, 1.0, 4001)
-    vols = pp.sandwich_volumes(inner, outer, levels, dom)
-    integral = np.trapezoid(vols, levels)
-    direct = float(np.sum(dom.node_weights * np.maximum(outer - inner, 0.0)))
-    assert integral == pytest.approx(direct, rel=2e-3)
-
-
 def test_barrier_1d_bound():
     dom = pp.Domain.interval(-1.0, 1.0, 4096)
     result = pp.build_barrier(dom, interface_radius=0.5, bound_m=1.0, epsilon=1e-3)
     # two boundary points, tent slope 4 over two side intervals of width 1/2
-    expected_bound = pp.c0() * 2.0 + 16.0 + 1.0
+    expected_bound = pp.C0 * 2.0 + 16.0 + 1.0
     assert result.bound == pytest.approx(expected_bound, rel=1e-12)
     assert result.feasible
     assert result.energy.total <= result.bound
@@ -278,7 +262,7 @@ def test_barrier_1d_bound():
 def test_barrier_2d_bound():
     dom = pp.Domain.ball(1.0, 256)
     result = pp.build_barrier(dom, interface_radius=0.5, bound_m=1.0, epsilon=1e-2)
-    expected_bound = pp.c0() * math.pi + 16.0 * math.pi * 0.75 + 1.0
+    expected_bound = pp.C0 * math.pi + 16.0 * math.pi * 0.75 + 1.0
     assert result.bound == pytest.approx(expected_bound, rel=1e-12)
     assert result.feasible
     assert result.energy.total <= result.bound * 1.02

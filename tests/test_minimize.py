@@ -599,7 +599,7 @@ def test_spectral_solve_matches_independent_direct_solve(kind, n, lo, width, see
 def test_sharp_oracle_closed_forms():
     sym = pp.sharp_oracle_1d(1.0, 1.0)
     assert sym.interface == pytest.approx(0.0, abs=1e-9)
-    assert sym.energy == pytest.approx(2.0 + pp.c0(), rel=1e-9)
+    assert sym.energy == pytest.approx(2.0 + pp.C0, rel=1e-9)
     assert sym.energy == pytest.approx(14.0 / 3.0, rel=1e-9)
     asym = pp.sharp_oracle_1d(1.0, 3.0)
     assert asym.interface == pytest.approx(-0.5, abs=1e-9)
@@ -619,18 +619,18 @@ def test_sharp_oracle_matches_brute_force_scan():
         a = float(rng.uniform(0.2, 3.0))
         b = float(rng.uniform(0.2, 3.0))
         oracle = pp.sharp_oracle_1d(a, b)
-        # closed form: interface (a - b) / (a + b), energy (a+b)^2/2 + c0
+        # closed form: interface (a - b) / (a + b), energy (a+b)^2/2 + C0
         x0 = (a - b) / (a + b)
         assert oracle.interface == pytest.approx(x0, abs=1e-6)
-        assert oracle.energy == pytest.approx((a + b) ** 2 / 2.0 + pp.c0(), rel=1e-9)
+        assert oracle.energy == pytest.approx((a + b) ** 2 / 2.0 + pp.C0, rel=1e-9)
         # no interior candidate does better
         energies = (
-            a * a / (xs[1:-1] + 1.0) + b * b / (1.0 - xs[1:-1]) + pp.c0()
+            a * a / (xs[1:-1] + 1.0) + b * b / (1.0 - xs[1:-1]) + pp.C0
         )
         assert oracle.energy <= np.min(energies) + 1e-9
         # nor does any flat zero interval [x1, x2] with x1 <= x2
         flat = np.where(
-            x1g <= x2g, a * a / (1.0 + x1g) + b * b / (1.0 - x2g) + pp.c0(), np.inf
+            x1g <= x2g, a * a / (1.0 + x1g) + b * b / (1.0 - x2g) + pp.C0, np.inf
         )
         assert float(flat.min()) >= oracle.energy - 1e-9
 

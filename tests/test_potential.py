@@ -1,4 +1,4 @@
-"""Double-well potential, its antiderivatives, and the inverse."""
+"""Double-well potential, its derivative, and the compressed phase."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from perimeter_phase import C0, c0, h, h_tilde, h_tilde_inverse, w, w_prime
+from perimeter_phase import C0, h_tilde, w, w_prime
 
 
 def test_well_values():
@@ -81,58 +81,23 @@ def test_well_edge_values_are_bitwise_the_piecewise_form(fn, piecewise):
     assert np.array(scalars).tobytes() == expected.tobytes()
 
 
-def test_antiderivative_h():
-    # h' = 2 sqrt(w) inside [-1, 1], clamped at +/- 4/3 beyond.
-    assert h(0.0) == 0.0
-    assert h(1.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert h(-1.0) == pytest.approx(-4.0 / 3.0, rel=1e-15)
-    assert h(7.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert h(-7.0) == pytest.approx(-4.0 / 3.0, rel=1e-15)
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a, b = np.sort(rng.uniform(-1.0, 1.0, size=2))
-        integral, err = quad(lambda t: 2.0 * math.sqrt(w(t)), a, b)
-        assert h(b) - h(a) == pytest.approx(integral, abs=max(1e-12, 10 * err))
-
-
 def test_surface_tension_constant():
-    assert c0() == C0
     assert C0 == pytest.approx(8.0 / 3.0, rel=0, abs=0)
     integral, err = quad(lambda t: 2.0 * math.sqrt(w(t)), 0.0, 1.0)
-    assert abs(c0() - 2.0 * integral) <= 1e-9 + 10 * err
-    # the constant is twice the full antiderivative range
-    assert c0() == pytest.approx(2.0 * h(1.0), rel=1e-15)
+    assert abs(C0 - 2.0 * integral) <= 1e-9 + 10 * err
 
 
 def test_h_tilde_is_normalized_h():
-    t = np.linspace(-1.0, 1.0, 401)
-    assert np.allclose(h_tilde(t), 0.75 * h(t), rtol=1e-14, atol=1e-14)
+    # h_tilde' = (3/4) * 2 sqrt(w) inside [-1, 1]: the well area
+    # h = integral of 2 sqrt(w) over its saturation value 4/3.
+    rng = np.random.default_rng(11)
+    a, b = np.sort(rng.uniform(-1.0, 1.0, size=(2, 20)), axis=0)
+    rise = h_tilde(b) - h_tilde(a)
+    for lo, hi, got in zip(a, b, rise):
+        integral, err = quad(lambda t: 2.0 * math.sqrt(w(t)), lo, hi)
+        assert got == pytest.approx(0.75 * integral, abs=max(1e-12, 10 * err))
+    assert h_tilde(0.0) == 0.0
     assert h_tilde(1.0) == 1.0
     assert h_tilde(-1.0) == -1.0
     assert h_tilde(9.0) == 1.0
     assert h_tilde(-9.0) == -1.0
-
-
-def test_h_tilde_inverse_against_trig_oracle():
-    # h_tilde(t) = (3 t - t^3) / 2 = sin(3 arcsin(t / 2) ... ) has the
-    # closed-form inverse t = 2 sin(arcsin(y) / 3) on [-1, 1].
-    y = np.linspace(-1.0, 1.0, 2001)
-    oracle = 2.0 * np.sin(np.arcsin(y) / 3.0)
-    assert np.allclose(h_tilde_inverse(y), oracle, rtol=0, atol=1e-12)
-
-
-def test_h_tilde_inverse_roundtrip():
-    rng = np.random.default_rng(5)
-    y = rng.uniform(-1.0, 1.0, size=500)
-    t = h_tilde_inverse(y)
-    assert np.all(np.abs(t) <= 1.0)
-    assert np.allclose(h_tilde(t), y, rtol=0, atol=1e-13)
-    assert h_tilde_inverse(1.0) == pytest.approx(1.0, abs=1e-12)
-    assert h_tilde_inverse(-1.0) == pytest.approx(-1.0, abs=1e-12)
-    assert h_tilde_inverse(0.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_h_tilde_inverse_monotone():
-    y = np.linspace(-1.0, 1.0, 4001)
-    t = h_tilde_inverse(y)
-    assert np.all(np.diff(t) > 0.0)

@@ -6,24 +6,20 @@ import numpy as np
 import pytest
 
 import perimeter_phase as pp
-from perimeter_phase.errors import (
-    DomainError,
-    ResolutionError,
-    UnsupportedRegionError,
-)
+from perimeter_phase.errors import ResolutionError, UnsupportedRegionError
 
 
 def test_half_line_recovery_energy_approaches_surface_tension():
-    # u = 0 with positivity set (0, inf): sharp energy is exactly c0
+    # u = 0 with positivity set (0, inf): sharp energy is exactly C0
     dom = pp.Domain.interval(-1.0, 1.0, 20000)
     pair = pp.SharpPair(
         pp.ScalarField(dom, np.zeros(dom.node_shape)),
         region=pp.IntervalUnion(((0.0, np.inf),)),
     )
-    assert pp.sharp_energy(pair).total == pytest.approx(pp.c0(), rel=1e-14)
+    assert pp.sharp_energy(pair).total == pytest.approx(pp.C0, rel=1e-14)
     for eps in (1e-1, 1e-2, 1e-3):
         state, report = pp.build_recovery(pair, eps)
-        assert abs(report.energy.total - pp.c0()) / pp.c0() <= 1e-3
+        assert abs(report.energy.total - pp.C0) / pp.C0 <= 1e-3
         # pure profile: no shift needed on either side
         assert report.delta_bar == 0.0
         assert report.delta_under == 0.0
@@ -36,7 +32,7 @@ def test_sloped_pair_recovery_frozen_totals():
         region=pp.IntervalUnion(((0.0, np.inf),)),
     )
     sharp = pp.sharp_energy(pair).total
-    assert sharp == pytest.approx(2.0 + pp.c0(), rel=1e-12)
+    assert sharp == pytest.approx(2.0 + pp.C0, rel=1e-12)
     totals = []
     for eps in (1e-1, 1e-2, 1e-3):
         _, report = pp.build_recovery(pair, eps)
@@ -73,7 +69,7 @@ def test_disc_recovery_2d():
         region=pp.Disc((0.0, 0.0), 0.5),
     )
     sharp = pp.sharp_energy(pair).total
-    assert sharp == pytest.approx(pp.c0() * math.pi, rel=1e-14)
+    assert sharp == pytest.approx(pp.C0 * math.pi, rel=1e-14)
     state, report = pp.build_recovery(pair, 1e-2)
     assert abs(report.energy.total - sharp) / sharp <= 5e-3
     # the state is saturated away from the layer
@@ -91,7 +87,7 @@ def test_half_plane_recovery_2d():
         region=pp.HalfPlane((1.0, 0.0), 0.0),
     )
     _, report = pp.build_recovery(pair, 1e-2)
-    assert abs(report.energy.total - 2.0 * pp.c0()) / (2.0 * pp.c0()) <= 1e-2
+    assert abs(report.energy.total - 2.0 * pp.C0) / (2.0 * pp.C0) <= 1e-2
 
 
 def test_recovery_dominates_field_shifts():
@@ -163,8 +159,8 @@ def test_recovery_evaluates_the_signed_distance_once_per_pair():
     dom = pp.Domain.ball(1.0, 128)
     region = CountingRegion(pp.Disc((0.1, 0.0), 0.4))
     pair = pp.SharpPair(pp.ScalarField(dom, np.zeros(dom.node_shape)), region=region)
-    reports = pp.recovery_curve(pair, [3e-2, 1e-2])
-    assert len(reports) == 2
+    for eps in (3e-2, 1e-2):
+        pp.build_recovery(pair, eps)
     assert region.calls == 1
     expected = region.inner.signed_distance(dom.nodes_x, dom.nodes_y)
     assert pair.node_sd.tobytes() == expected.tobytes()
@@ -177,19 +173,3 @@ def test_recovery_mask_only_pair_rejected():
     pair = pp.SharpPair(pp.ScalarField(dom, x.copy()), mask=(x >= 0.0))
     with pytest.raises(UnsupportedRegionError):
         pp.build_recovery(pair, 1e-2)
-
-
-def test_recovery_curve_validation():
-    dom = pp.Domain.interval(-1.0, 1.0, 256)
-    pair = pp.SharpPair(
-        pp.ScalarField(dom, np.zeros(dom.node_shape)),
-        region=pp.IntervalUnion(((0.0, np.inf),)),
-    )
-    reports = pp.recovery_curve(pair, (1e-1, 1e-2))
-    assert [r.epsilon for r in reports] == [1e-1, 1e-2]
-    with pytest.raises(DomainError):
-        pp.recovery_curve(pair, ())
-    with pytest.raises(DomainError):
-        pp.recovery_curve(pair, (1e-2, 1e-1))
-    with pytest.raises(DomainError):
-        pp.recovery_curve(pair, (1e-1, -1e-2))
