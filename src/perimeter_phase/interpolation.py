@@ -20,8 +20,13 @@ bound is the largest |value| of the two states.  The profile's tail is
 exactly linear, so past reach the ramp exceeds bound by tail_slope * h:
 no state value lies beyond it, a cell outside the band is never in the
 sandwich, and the composition there equals the one with the ramp at
-+/- infinity.  Scan energies and glued values are bitwise those of the
-ramp evaluated everywhere.
++/- infinity.  The scan also skips every cell where the two states do not
+differ in the ramp's direction (anchor values lo >= hi): no ramp lies
+strictly between them there, so the cell adds an exact +0.0 at every
+candidate.  Saturated states that agree across the annulus leave no cell
+to scan, every scan energy is 0 and r is the first candidate.  Scan
+energies and glued values are bitwise those of the ramp evaluated
+everywhere.
 
 Barriers are radial competitors matching a prescribed boundary plateau:
 a tent that rises to M across the span between the interface sphere
@@ -176,60 +181,51 @@ def _ramp_reach(profile: SlopedProfile, bound: float, h: float) -> float:
     return profile.crossing_time + excess / profile.tail_slope + h
 
 
-def _glue_stage(
-    inner_vals: np.ndarray,
-    outer_vals: np.ndarray,
+def _scan_energies(
+    lo_v: np.ndarray,
+    hi_v: np.ndarray,
     radial: np.ndarray,
     domain: Domain,
     epsilon: float,
     spec: AnnulusSpec,
     direction: str,
     profile: SlopedProfile,
-) -> Tuple[np.ndarray, GlueStage]:
-    """One ramp composition across the annulus of spec.
+    reach: float,
+    radii: np.ndarray,
+) -> np.ndarray:
+    """Ramp energy on the sandwich lo < ramp < hi at each candidate radius.
 
-    Each candidate radius r is scored by the ramp energy over the cells
-    whose anchor lies in the open annulus and whose anchor ramp value lies
-    strictly between the two states.  With bound the largest |value| of
-    the two states, |ramp| exceeds bound wherever ||x| - r| >= reach
-    (``_ramp_reach``), so only cells whose anchor lies within reach of r
-    can be in the sandwich; every other cell adds (finite density) *
-    weight * False, an exact +0.0.  The annulus cells are sorted by
-    anchor radius and their stencil nodes by radius once, so a
-    candidate's band is a slice of the cells, and the nodes their
-    stencils touch a slice of the nodes.  The band's products are
-    scattered into a zeroed per-cell buffer in the original cell order,
-    whose sum is bitwise the annulus-wide one.
-
-    The ramp at the chosen radius r* is evaluated within reach of r* only
-    and set to +/- infinity (its sign beyond the band) elsewhere: there
-    the true ramp lies beyond every state value, so min(outer, max(inner,
-    ramp)) picks the same state value either way.
+    Only the open cells, the annulus cells whose anchor values satisfy
+    lo < hi, are scanned; the sandwich of any other cell is empty for
+    every ramp.  The open cells are sorted by anchor radius and the nodes
+    their stencils touch by radius, so a candidate's band is a slice of
+    each.  The band's products are scattered into a zeroed buffer over
+    all annulus cells in their original order, whose sum is bitwise the
+    annulus-wide one.
     """
-    if direction == "rising":
-        lo_v, hi_v = inner_vals, outer_vals
-    else:
-        lo_v, hi_v = outer_vals, inner_vals
-    bound = max(float(np.max(np.abs(inner_vals))), float(np.max(np.abs(outer_vals))))
-    reach = _ramp_reach(profile, bound, domain.h)
-    flat_radial = radial.ravel()
-    weights, nodes, where = _annulus_stencil(domain, radial, spec)
-    node_order = np.argsort(flat_radial[nodes])
-    node_radii = flat_radial[nodes[node_order]]
-    position = np.empty_like(node_order)
-    position[node_order] = np.arange(len(nodes))
-    anchor_nodes = nodes[where[0]]
-    cell_order = np.argsort(flat_radial[anchor_nodes])
-    anchor_nodes = anchor_nodes[cell_order]
-    anchor_radii = flat_radial[anchor_nodes]
-    where = position[where[:, cell_order]]
-    weights = weights[cell_order]
-    lo_a, hi_a = lo_v.ravel()[anchor_nodes], hi_v.ravel()[anchor_nodes]
-    radii = np.linspace(
-        spec.rho + spec.delta / 8.0, spec.rho + spec.delta / 4.0, _SCAN_CANDIDATES
-    )
     energies = np.zeros(len(radii))
+    weights, nodes, where = _annulus_stencil(domain, radial, spec)
+    anchor_nodes = nodes[where[0]]
+    lo_a, hi_a = lo_v.ravel()[anchor_nodes], hi_v.ravel()[anchor_nodes]
+    open_cells = np.flatnonzero(lo_a < hi_a)
+    if open_cells.size == 0:
+        return energies
     contrib = np.zeros(len(anchor_nodes))
+    where = where[:, open_cells]
+    touched = np.zeros(len(nodes), dtype=bool)
+    touched[where] = True
+    kept = np.flatnonzero(touched)
+    flat_radial = radial.ravel()
+    node_order = kept[np.argsort(flat_radial[nodes[kept]])]
+    node_radii = flat_radial[nodes[node_order]]
+    position = np.empty(len(nodes), dtype=node_order.dtype)
+    position[node_order] = np.arange(len(node_order))
+    anchor_radii = flat_radial[anchor_nodes[open_cells]]
+    cell_order = np.argsort(anchor_radii)
+    anchor_radii = anchor_radii[cell_order]
+    open_cells = open_cells[cell_order]
+    where = position[where[:, cell_order]]
+    weights, lo_a, hi_a = weights[open_cells], lo_a[open_cells], hi_a[open_cells]
     for i, r in enumerate(radii):
         c0, c1 = np.searchsorted(anchor_radii, (r - reach, r + reach))
         if c0 == c1:
@@ -241,11 +237,58 @@ def _glue_stage(
         dens = energy_mod._stencil_density(ramp[0], ramp[1:], domain.h, epsilon)
         sandwich = (lo_a[c0:c1] < ramp[0]) & (ramp[0] < hi_a[c0:c1])
         contrib.fill(0.0)
-        contrib[cell_order[c0:c1]] = dens * weights[c0:c1] * sandwich
+        contrib[open_cells[c0:c1]] = dens * weights[c0:c1] * sandwich
         energies[i] = float(np.sum(contrib))
-    # Free the scan's index arrays before the composition's grid arrays.
-    del weights, nodes, where, node_order, node_radii, position, anchor_nodes
-    del cell_order, anchor_radii, lo_a, hi_a, contrib
+    return energies
+
+
+def _glue_stage(
+    inner_vals: np.ndarray,
+    outer_vals: np.ndarray,
+    radial: np.ndarray,
+    domain: Domain,
+    epsilon: float,
+    spec: AnnulusSpec,
+    direction: str,
+    profile: SlopedProfile,
+    bound: float,
+) -> Tuple[np.ndarray, GlueStage]:
+    """One ramp composition across the annulus of spec.
+
+    Each candidate radius r is scored by the ramp energy over the cells
+    whose anchor lies in the open annulus and whose anchor ramp value lies
+    strictly between the two states (``_scan_energies``).  A cell whose
+    anchor values have lo >= hi has an empty sandwich for every ramp, and
+    with bound >= the largest |value| of the two states, |ramp| exceeds
+    bound wherever ||x| - r| >= reach (``_ramp_reach``), so only open
+    cells whose anchor lies within reach of r can be in the sandwich.
+    Every other cell adds (finite density) * weight * False, an exact
+    +0.0, so it is left out of the scan.
+
+    The ramp at the chosen radius r* is evaluated within reach of r* only
+    and set to +/- infinity (its sign beyond the band) elsewhere: there
+    the true ramp lies beyond every state value, so min(outer, max(inner,
+    ramp)) picks the same state value either way.
+
+    ``glue`` passes bound = sup = max(|u|, |v|) to every stage rather than
+    the exact largest |value| of each stage's states.  A first-stage
+    output lies in [min(u, v), u], so sup bounds every stage's states and
+    reach can only grow.  Past the exact reach |ramp| already exceeds
+    every state value, so the extra band cells stay out of the sandwich
+    and the extra composition nodes pick the same state value as with
+    the ramp at +/- infinity: every output is bitwise unchanged.
+    """
+    if direction == "rising":
+        lo_v, hi_v = inner_vals, outer_vals
+    else:
+        lo_v, hi_v = outer_vals, inner_vals
+    reach = _ramp_reach(profile, bound, domain.h)
+    radii = np.linspace(
+        spec.rho + spec.delta / 8.0, spec.rho + spec.delta / 4.0, _SCAN_CANDIDATES
+    )
+    energies = _scan_energies(
+        lo_v, hi_v, radial, domain, epsilon, spec, direction, profile, reach, radii
+    )
     best = int(np.argmin(energies))
     r_star = float(radii[best])
     far = np.inf if direction == "rising" else -np.inf
@@ -308,7 +351,7 @@ def glue(
     if ordered:
         profile = sloped_profile(epsilon, spec.theta)
         out_vals, stage = _glue_stage(
-            v, u, radial, domain, epsilon, spec, "rising", profile
+            v, u, radial, domain, epsilon, spec, "rising", profile, sup
         )
         stages.append(stage)
     else:
@@ -317,10 +360,10 @@ def glue(
         spec_inner = AnnulusSpec(spec.rho, half, spec.bound_m)
         prof_half = sloped_profile(epsilon, spec_outer.theta)
         out_vals, stage1 = _glue_stage(
-            np.minimum(u, v), u, radial, domain, epsilon, spec_outer, "rising", prof_half
+            np.minimum(u, v), u, radial, domain, epsilon, spec_outer, "rising", prof_half, sup
         )
         out_vals, stage2 = _glue_stage(
-            v, out_vals, radial, domain, epsilon, spec_inner, "falling", prof_half
+            v, out_vals, radial, domain, epsilon, spec_inner, "falling", prof_half, sup
         )
         stages.extend([stage1, stage2])
 

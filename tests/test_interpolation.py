@@ -1,6 +1,7 @@
 """Annulus gluing and the radial barrier competitor."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -414,6 +415,14 @@ def _band_case(name):
         dom = pp.Domain.ball(1.0, 128)
         sat = -math.sqrt(eps) * np.ones(dom.node_shape)
         return _profile_states(dom, eps, sat, sat.copy())
+    if name == "mixed_ball":
+        # the states agree on x < 0 and differ on x >= 0, so every band
+        # holds cells the scan skips next to cells it scores
+        dom = pp.Domain.ball(1.0, 128)
+        r = radial(dom)
+        v = pp.transition_profile(eps, 0.65 - r)
+        u = np.where(dom.nodes_x < 0.0, v, pp.transition_profile(eps, 0.7 - r))
+        return _profile_states(dom, eps, v, u)
     if name == "discs_0.7":
         return _disc_states(128, eps, 0.7, [(0.1, 0.0), (0.0, 0.0)])
     if name == "discs_0.7_swapped":
@@ -432,6 +441,7 @@ _BAND_CASES = {
     "constant_pm_interval": [True],
     "empty_annulus_interval": [False],
     "saturated": [False],
+    "mixed_ball": [True],
     "discs_0.7": [True, False],
     "discs_0.7_swapped": [True, True],
 }
@@ -452,3 +462,26 @@ def test_glue_band_limited_equals_full_grid_bitwise(name):
     assert np.array_equal(out.values, ref_out)
     # the gaps summed from the annulus terms are the whole-grid sums, bit for bit
     assert (report.l2_gap_outside, report.phase_l1_gap_outside) == ref_gaps
+
+
+@pytest.mark.parametrize("name", ["saturated", "discs_0.25"])
+def test_glue_evaluates_no_ramp_where_the_states_agree(name, monkeypatch):
+    # Saturated states agree across the annulus, so no cell is open for
+    # the scan: the only ramp evaluation left is each stage's composition.
+    if name == "saturated":
+        inner, outer = _band_case(name)
+    else:  # the construct2d benchmark's discs at a smaller grid
+        outer, inner = _disc_states(128, 1e-2, 0.25, [(0.0, 0.0), (0.1, 0.0)])
+    callers = []
+    value = pp.SlopedProfile.value
+
+    def counted(self, s):
+        callers.append(sys._getframe(2).f_code.co_name)
+        return value(self, s)
+
+    monkeypatch.setattr(pp.SlopedProfile, "value", counted)
+    _, report = pp.glue(inner, outer, pp.AnnulusSpec(0.6, 0.2, 1.0), budget=1e6)
+    assert callers == ["_glue_stage"] * len(report.stages)
+    for stage in report.stages:
+        assert not np.any(stage.scan_energies)
+        assert stage.r_star == stage.scan_radii[0]
