@@ -13,6 +13,15 @@ nodes.
 
 The sharp energy of a (field, set) pair is the same Dirichlet sum plus
 the interface cost constant times the perimeter of the set.
+
+Each full-grid sum (the energies, ``tv_phase``, ``l2_gap``) holds one
+grid-sized array, its summands.  These are formed a row block at a time,
+about 2^14 entries per block, with block-sized temporaries, and written
+into one C-ordered array that a single ``np.sum`` reduces.  The summands
+are elementwise results, so their bits do not depend on the blocking, and
+numpy's pairwise summation depends only on the array: every sum is bitwise
+the one over whole-grid temporaries.  A grid of one block is filled in a
+single call.
 """
 
 from __future__ import annotations
@@ -28,6 +37,9 @@ from .errors import DomainError, InvalidPairError
 from .geometry import Domain, Region
 
 _SIGN_TOL = 1e-12
+# Entries per row block of a full-grid sum: 2^14 float64 values, 128 KiB,
+# so a block's temporaries stay in a core's L2 cache.
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass
@@ -130,7 +142,8 @@ class SharpPair:
         _check_amplitude(self.field.values, self.bound_m)
         mask = self.node_mask()
         vals = self.field.values
-        if np.any(vals[mask] < -_SIGN_TOL) or np.any(vals[~mask] > _SIGN_TOL):
+        # Boolean tests form no float array of the field's size.
+        if np.any(mask & (vals < -_SIGN_TOL)) or np.any(~mask & (vals > _SIGN_TOL)):
             raise InvalidPairError(
                 "field sign is inconsistent with the set: "
                 "u must be >= 0 on it and <= 0 off it"
@@ -218,17 +231,49 @@ def _cell_density(
 ) -> np.ndarray:
     """Diffuse energy density per cell of a raw node array.
 
-    Works on bare arrays so the descent's inner loop builds no field
-    objects; see ``_stencil_density`` for the terms.
+    The whole-grid density that the row-blocked sums reproduce bit for
+    bit; see ``_stencil_density`` for the terms.
     """
     anchor, aheads = _cell_stencil(values)
     return _stencil_density(anchor, aheads, h, epsilon)
 
 
-def _weighted_sum(values: np.ndarray, weights: np.ndarray, h=None, epsilon=None) -> float:
-    """Sum of a node array's cell density times the weights, formed in place."""
-    dens = _cell_density(values, h, epsilon)
-    return float(np.sum(np.multiply(dens, weights, out=dens)))
+def _blocked_sum(shape, fill) -> float:
+    """np.sum of a new C-ordered array of this shape, written by row blocks.
+
+    fill(rows, out) writes the summands of the row slice rows into out,
+    the view of those rows; each block spans about _BLOCK_CELLS entries,
+    and a shape that fits in one block is filled in one call.
+    """
+    terms = np.empty(shape)
+    step = max(1, _BLOCK_CELLS // math.prod(shape[1:]))
+    for start in range(0, shape[0], step):
+        rows = slice(start, start + step)
+        fill(rows, terms[rows])
+    return float(np.sum(terms))
+
+
+def _node_rows(values: np.ndarray, rows: slice) -> np.ndarray:
+    """The node rows that the cells of a row slice touch: its rows and the next."""
+    return values[rows.start : rows.stop + 1]
+
+
+def _weighted_sum(
+    values: np.ndarray, weights: np.ndarray, h=None, epsilon=None, nodes=None
+) -> float:
+    """Sum of a node array's cell density times the weights, by row blocks.
+
+    nodes, when given, maps each block's node rows to the node values
+    whose density is summed, so a derived field is formed a block at a
+    time too.
+    """
+    def fill(rows, out):
+        block = _node_rows(values, rows)
+        anchor, aheads = _cell_stencil(block if nodes is None else nodes(block))
+        _stencil_density(anchor, aheads, h, epsilon, out=out)
+        np.multiply(out, weights[rows], out=out)
+
+    return _blocked_sum(weights.shape, fill)
 
 
 def dirichlet_energy(field: ScalarField) -> float:
@@ -282,11 +327,18 @@ def tv_phase(state: PhaseState) -> float:
     interface content of a state is tv_phase / 2 in multiples of the
     grid's facet area.
     """
-    p = np.divide(state.values, math.sqrt(state.epsilon))
-    diffs = _forward_differences(potential.h_tilde(p, out=p))
-    if len(diffs) == 1:
-        return float(np.sum(np.abs(diffs[0], out=diffs[0])))
-    return float(np.sum(np.hypot(*diffs, out=diffs[0])) * state.domain.h)
+    root_eps = math.sqrt(state.epsilon)
+
+    def fill(rows, out):
+        p = np.divide(_node_rows(state.values, rows), root_eps)
+        diffs = _forward_differences(potential.h_tilde(p, out=p))
+        if len(diffs) == 1:
+            np.abs(diffs[0], out=out)
+        else:
+            np.hypot(*diffs, out=out)
+
+    total = _blocked_sum(state.domain.cell_weights.shape, fill)
+    return total if state.domain.dim == 1 else total * state.domain.h
 
 
 def modica_mortola_split(state: PhaseState) -> MMSplit:
@@ -300,12 +352,17 @@ def modica_mortola_split(state: PhaseState) -> MMSplit:
     """
     lhs = e_eps(state).total
     tv = tv_phase(state)
-    vals = state.values
-    excess = np.abs(vals)
-    excess -= math.sqrt(state.epsilon)
-    np.maximum(excess, 0.0, out=excess)
-    excess *= np.sign(vals)
-    excess_d = _weighted_sum(excess, state.domain.cell_weights, h=state.domain.h)
+    root_eps = math.sqrt(state.epsilon)
+
+    def overshoot(vals):
+        excess = np.abs(vals)
+        excess -= root_eps
+        np.maximum(excess, 0.0, out=excess)
+        excess *= np.sign(vals)
+        return excess
+
+    domain = state.domain
+    excess_d = _weighted_sum(state.values, domain.cell_weights, h=domain.h, nodes=overshoot)
     rhs = 0.5 * potential.C0 * tv + excess_d
     return MMSplit(lhs=lhs, rhs=rhs, tv_term=tv, excess_dirichlet=excess_d)
 
@@ -318,9 +375,14 @@ def phase_band_measure(state: PhaseState) -> float:
 
 def l2_gap(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
     """Node-weight L2 distance between two node arrays."""
-    diff = np.subtract(a, b, dtype=float, order="C")
-    terms = np.multiply(domain.node_weights, diff)
-    return float(math.sqrt(np.sum(np.multiply(terms, diff, out=terms))))
+    a, b = (np.broadcast_to(x, domain.node_shape) for x in (a, b))
+
+    def fill(rows, out):
+        diff = np.subtract(a[rows], b[rows], dtype=float)
+        np.multiply(domain.node_weights[rows], diff, out=out)
+        out *= diff
+
+    return math.sqrt(_blocked_sum(domain.node_shape, fill))
 
 
 def l1_gap(a: np.ndarray, b: np.ndarray, domain: Domain, out=None) -> float:

@@ -41,8 +41,9 @@ def _finite(*xs) -> bool:
 # Process-wide, because a pipeline builds the same grid many times (every
 # field file read back carries its domain).  Holds the read-only grid
 # arrays of the last domain built, keyed by its parameters; a ball grid
-# with n=512 holds about 4.5 MB (its node and cell coordinates are
-# zero-stride views of the axes), so a new domain replaces the cached grid.
+# with n=512 holds about 2.4 MB (its node and cell coordinates are
+# zero-stride views of the axes, its cell weights a view of its node
+# weights), so a new domain replaces the cached grid.
 _GRID_CACHE: dict = {}
 _GRID_LOCK = threading.Lock()
 
@@ -62,7 +63,9 @@ class Domain:
     read-only: writing into one raises ValueError, so copy an array
     before changing it.  In 2D the node and cell coordinates are
     full-shape zero-stride views of the axes and of their midpoints;
-    ``.copy()`` gives a full array.
+    ``.copy()`` gives a full array.  The cell weights are the node weights
+    without their last row and column (last entry in 1D), which weigh 0:
+    ``cell_weights`` is a view of ``node_weights``, strided in 2D.
     """
 
     kind: str
@@ -190,7 +193,7 @@ def _build_grid(domain: Domain) -> dict:
         node_shape = (n + 1,)
         nodes_x, nodes_y = xs, None
         cell_x, cell_y = 0.5 * (xs[:-1] + xs[1:]), None
-        cell_w = np.full(n, h)
+        cell_w = h
         boundary = np.zeros(n + 1, dtype=bool)
         boundary[0] = boundary[-1] = True
         measure = domain.hi - domain.lo
@@ -206,18 +209,18 @@ def _build_grid(domain: Domain) -> dict:
         boundary[0, :] = boundary[-1, :] = True
         boundary[:, 0] = boundary[:, -1] = True
         if domain.kind == "box":
-            cell_w = np.full((n, n), h * h)
+            cell_w = h * h
             measure = (domain.hi - domain.lo) ** 2
         else:
             cell_w = h * h * np.clip(0.5 + domain.signed_distance(cell_x, cell_y) / h, 0.0, 1.0)
             boundary |= domain.signed_distance(nodes_x, nodes_y) <= 0.0
             measure = math.pi * domain.radius**2
 
+    # One weight array: a cell's weight sits at its anchor node, the last
+    # row and column weigh 0, and cell_weights is the view of the rest.
     node_w = np.zeros(node_shape)
-    if dim == 1:
-        node_w[:-1] = cell_w
-    else:
-        node_w[:-1, :-1] = cell_w
+    cell = (slice(None, -1),) * dim
+    node_w[cell] = cell_w
     grid = {
         "dim": dim,
         "h": h,
@@ -229,7 +232,7 @@ def _build_grid(domain: Domain) -> dict:
         "nodes_y": nodes_y,
         "cell_x": cell_x,
         "cell_y": cell_y,
-        "cell_weights": cell_w,
+        "cell_weights": node_w[cell],
         "node_weights": node_w,
         "boundary_mask": boundary,
     }

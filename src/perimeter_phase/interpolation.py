@@ -149,6 +149,12 @@ def _ramp_values(radial: np.ndarray, profile: SlopedProfile, r: float, direction
     return profile.value(r - radial)
 
 
+def _ring_cells(radial: np.ndarray, spec: AnnulusSpec) -> np.ndarray:
+    """Cell mask of the cells whose anchor node lies in the open annulus."""
+    anchor = radial[(slice(None, -1),) * radial.ndim]
+    return (anchor > spec.rho) & (anchor < spec.outer_radius)
+
+
 def _annulus_stencil(domain: Domain, radial: np.ndarray, spec: AnnulusSpec):
     """The cells whose anchor node lies in the open annulus.
 
@@ -157,8 +163,7 @@ def _annulus_stencil(domain: Domain, radial: np.ndarray, spec: AnnulusSpec):
     each cell's anchor (row 0) and its forward neighbour along each axis
     (the rows of ``energy._cell_stencil``).
     """
-    cell = (slice(None, -1),) * domain.dim
-    in_ring = (radial[cell] > spec.rho) & (radial[cell] < spec.outer_radius)
+    in_ring = _ring_cells(radial, spec)
     offsets = [0] + [int(np.prod(radial.shape[axis + 1 :])) for axis in range(domain.dim)]
     # The ring padded to the node grid gives the anchors' flat indices in
     # order, and a node mask, not np.unique, the sorted nodes they touch.
@@ -204,12 +209,15 @@ def _scan_energies(
     annulus-wide one.
     """
     energies = np.zeros(len(radii))
+    # With no open cell every energy is 0: look for one on the anchor grids
+    # before mapping any stencil.
+    cell = (slice(None, -1),) * domain.dim
+    if not np.any(_ring_cells(radial, spec) & (lo_v[cell] < hi_v[cell])):
+        return energies
     weights, nodes, where = _annulus_stencil(domain, radial, spec)
     anchor_nodes = nodes[where[0]]
     lo_a, hi_a = lo_v.ravel()[anchor_nodes], hi_v.ravel()[anchor_nodes]
     open_cells = np.flatnonzero(lo_a < hi_a)
-    if open_cells.size == 0:
-        return energies
     contrib = np.zeros(len(anchor_nodes))
     where = where[:, open_cells]
     touched = np.zeros(len(nodes), dtype=bool)
@@ -399,16 +407,27 @@ def glue(
     # Node-weight gaps to u on |x| > rho.  Past rho + delta the glued field
     # is bitwise u, so each term off the open annulus is an exact +0.0: the
     # sums over a zeroed grid holding the annulus terms are the full ones.
-    weights = domain.node_weights[ring]
-    glued, outer = out_vals[ring], u[ring]
-    diff = glued - outer
-    terms = np.zeros(domain.node_shape)
-    terms[ring] = weights * diff * diff
-    l2_out = float(math.sqrt(np.sum(terms)))
+    # Each block gathers only its own annulus nodes.
     root_eps = math.sqrt(epsilon)
-    phase_diff = potential.h_tilde(glued / root_eps) - potential.h_tilde(outer / root_eps)
-    terms[ring] = weights * np.abs(phase_diff)
-    l1_out = float(np.sum(terms))
+
+    def gap_sum(term) -> float:
+        def fill(rows, out):
+            r = ring[rows]
+            out.fill(0.0)
+            out[r] = term(domain.node_weights[rows][r], out_vals[rows][r], u[rows][r])
+
+        return energy_mod._blocked_sum(domain.node_shape, fill)
+
+    def l2_term(weights, glued, outer):
+        diff = glued - outer
+        return weights * diff * diff
+
+    def phase_term(weights, glued, outer):
+        phase_diff = potential.h_tilde(glued / root_eps) - potential.h_tilde(outer / root_eps)
+        return weights * np.abs(phase_diff)
+
+    l2_out = math.sqrt(gap_sum(l2_term))
+    l1_out = gap_sum(phase_term)
     report = GlueReport(
         r_star=stages[-1].r_star,
         annulus_energy=annulus_energy,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import perimeter_phase as pp
 from perimeter_phase import energy, geometry, minimize
@@ -325,6 +327,83 @@ def test_cell_density_only_reads_its_inputs():
             dens = _cell_density(values, h, eps)
             assert dens.shape == dom.cell_weights.shape
             assert not np.shares_memory(dens, values)
+
+
+def unblocked_sums(state, subdomain, other):
+    """Each full-grid sum as one numpy expression over whole-grid arrays.
+
+    The reference for the row-blocked reductions: (dirichlet, well) of
+    e_eps over the subdomain, tv_phase, the overshoot's Dirichlet energy
+    and the L2 gap to other.
+    """
+    dom, vals, eps = state.domain, state.values, state.epsilon
+    weights = dom.cell_weights
+    if subdomain is not None:
+        weights = geometry.region_cell_fraction(subdomain, dom) * weights
+    dirichlet = float(np.sum(energy._cell_density(vals, h=dom.h) * weights))
+    well = float(np.sum(energy._cell_density(vals, epsilon=eps) * weights))
+    diffs = energy._forward_differences(pp.h_tilde(vals / math.sqrt(eps)))
+    if dom.dim == 1:
+        tv = float(np.sum(np.abs(diffs[0])))
+    else:
+        tv = float(np.sum(np.hypot(*diffs))) * dom.h
+    excess = np.maximum(np.abs(vals) - math.sqrt(eps), 0.0) * np.sign(vals)
+    excess_d = float(np.sum(energy._cell_density(excess, h=dom.h) * dom.cell_weights))
+    diff = vals - other
+    l2 = math.sqrt(np.sum(dom.node_weights * diff * diff))
+    return (dirichlet, well), tv, excess_d, l2
+
+
+@st.composite
+def blocked_cases(draw):
+    """A grid of one or several row blocks, a field on it and maybe a subdomain."""
+    kind = draw(st.sampled_from(["interval", "box", "ball"]))
+    if kind == "interval":
+        # one to four blocks of cells, the last one full or partial
+        blocks = draw(st.integers(0, 3))
+        dom = pp.Domain.interval(-1.0, 1.0, blocks * (1 << 14) + draw(st.integers(2, 1 << 14)))
+    elif kind == "box":
+        dom = pp.Domain.box(-1.0, 0.5, draw(st.integers(2, 300)))
+    else:
+        centre = draw(st.tuples(*[st.floats(-2.0, 2.0)] * 2))
+        dom = pp.Domain.ball(draw(st.floats(0.5, 2.0)), draw(st.integers(2, 300)), centre)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = draw(st.sampled_from([3e-3, 1e-2, 1e-1]))
+    # values past +/- sqrt(eps) give the overshoot term cells to sum
+    vals = np.clip(rng.normal(scale=0.5, size=dom.node_shape), -1.0, 1.0)
+    state = pp.PhaseState(pp.ScalarField(dom, vals), eps, 1.0)
+    subdomain = None
+    if draw(st.booleans()):
+        if dom.dim == 1:
+            subdomain = pp.IntervalUnion(((-0.4, 0.3),))
+        else:
+            subdomain = pp.Disc(dom.center if kind == "ball" else (0.1, -0.2), 0.5)
+    return state, subdomain, rng.uniform(-1.0, 1.0, dom.node_shape)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(blocked_cases())
+@example((
+    pp.PhaseState(pp.ScalarField(
+        pp.Domain.ball(1.0, 300, (0.3, -0.2)),
+        np.sin(np.linspace(0.0, 400.0, 301 * 301)).reshape(301, 301)), 1e-2, 1.0),
+    pp.Disc((0.3, -0.2), 0.5),
+    np.linspace(-1.0, 1.0, 301 * 301).reshape(301, 301),
+))
+def test_blocked_reductions_equal_the_unblocked_sums_bitwise(case):
+    state, subdomain, other = case
+    energies, tv, excess_d, l2 = unblocked_sums(state, subdomain, other)
+    breakdown = pp.e_eps(state, subdomain)
+    assert (breakdown.dirichlet, breakdown.well) == energies
+    assert pp.tv_phase(state) == tv
+    assert pp.modica_mortola_split(state).excess_dirichlet == excess_d
+    assert pp.l2_gap(state.values, other, state.domain) == l2
+    if subdomain is None:
+        assert pp.dirichlet_energy(state.field) == energies[0]
+        assert pp.well_energy(state.field, state.epsilon) == energies[1]
+        # a pair on the field's own sign set
+        pair = pp.SharpPair(state.field, mask=state.values >= 0.0)
+        assert pp.sharp_energy(pair).dirichlet == energies[0]
 
 
 NON_FINITE_SCHEDULES = [[math.nan], [0.1, math.nan, 0.01], [math.inf, 0.1]]

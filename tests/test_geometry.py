@@ -643,6 +643,20 @@ def test_grid_coordinates_have_the_meshgrid_bits(make):
     assert full.flags.writeable and full.flags.c_contiguous and same_bits(full, mx)
 
 
+@pytest.mark.parametrize("make", _GRID_MAKERS)
+def test_cell_weights_are_a_view_of_the_node_weights(make):
+    # the grid stores its weights once: the node weights are the cell
+    # weights padded with a zero last row and column (last entry in 1D)
+    dom = make()
+    cell = (slice(None, -1),) * dom.dim
+    assert np.shares_memory(dom.cell_weights, dom.node_weights)
+    assert same_bits(dom.cell_weights, dom.node_weights[cell])
+    assert dom.cell_weights.shape == (dom.n,) * dom.dim
+    edge = np.ones(dom.node_shape, dtype=bool)
+    edge[cell] = False
+    assert not np.any(dom.node_weights[edge])
+
+
 _REGIONS_2D = {
     "disc": pp.Disc((0.1, -0.2), 0.5),
     "half_plane": pp.HalfPlane((1.0, 2.0), 0.3),

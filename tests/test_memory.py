@@ -19,30 +19,38 @@ from perimeter_phase import cli, fieldio, geometry, interpolation, potential
 N = 256
 EPS = 1e-2
 
-# Measured: 2.0008, 3.2371, 3.2372, 3.4321, 4.3643, 4.3635, 3.3625, 1.2520,
-# 1.2520, 1.9861, 2.0078, 5.5234, 0.0220, 1.4183.  A glue peaks in the
-# energies of its two parts, after the scans, so a saturated glue, which
-# scans no cell, peaks as high as a two-stage one.  A disc's distances are
-# one grid array plus numpy's fixed-size ufunc buffers (a quarter of a grid
-# array at n = 256); recovery holds the input field, its node distances and one
-# scale's build; save_binary writes a little-endian float64 field without a
-# copy; marching squares holds its result, one byte per cell for the case
-# codes and the cut flags, and arrays over the cut cells only.
+# Measured: 2.0008, 1.9960, 1.9962, 3.3256, 3.7905, 3.6208, 3.2539, 1.2520,
+# 1.2520, 1.9861, 2.0078, 5.4166, 0.0221, 1.4183, 1.4931, 2.4861, 1.4931,
+# 1.2471.  A full-grid sum holds its array of summands and row blocks of
+# 2^14 entries (a quarter of a grid array at n = 256, a sixteenth at
+# n = 512); a subdomain energy also holds its cell fractions.  A two-stage
+# glue peaks in its scans, a saturated glue, which scans no cell, in the
+# energies of its two parts, about 0.2 grid arrays lower.  A disc's
+# distances are one grid array plus numpy's fixed-size ufunc buffers (a
+# quarter of a grid array at n = 256); recovery holds the input field, its
+# node distances and one scale's build; save_binary writes a little-endian
+# float64 field without a copy; marching squares holds its result, one byte
+# per cell for the case codes and the cut flags, and arrays over the cut
+# cells only.
 LIMITS = {
     "h_tilde": 2.1,
-    "tv_phase": 3.3,
-    "modica_mortola_split": 3.3,
-    "build_recovery": 3.5,
-    "glue_two_stage": 4.4,
-    "glue_saturated": 4.4,
-    "build_barrier": 3.4,
+    "tv_phase": 2.0,
+    "modica_mortola_split": 2.0,
+    "build_recovery": 3.4,
+    "glue_two_stage": 3.8,
+    "glue_saturated": 3.7,
+    "build_barrier": 3.3,
     "disc_signed_distance": 1.3,
     "rasterize_disc": 1.3,
     "region_cell_fraction_disc": 2.0,
     "annulus_stencil": 2.1,
-    "run_recovery_three_scales": 5.6,
+    "run_recovery_three_scales": 5.5,
     "save_binary": 0.1,
     "interface_length_mask": 1.5,
+    "e_eps": 1.5,
+    "e_eps_subdomain": 2.5,
+    "sharp_energy": 1.5,
+    "l2_gap": 1.3,
 }
 
 
@@ -63,6 +71,7 @@ def kernels(tmp_path_factory):
     spec = pp.AnnulusSpec(0.6, 0.2, 1.0)
     scaled = u.values / math.sqrt(EPS)
     disc = pp.Disc((0.1, 0.0), 0.7)
+    inner_disc = pp.Disc((0.0, 0.0), 0.5)
     mask = pp.rasterize(disc, dom)
     radial = interpolation._radial_nodes(dom)
     out = str(tmp_path_factory.mktemp("recovery"))
@@ -94,6 +103,10 @@ def kernels(tmp_path_factory):
         "run_recovery_three_scales": lambda: cli._run_recovery(recovery_cfg(), out),
         "save_binary": lambda: fieldio.save_binary(u.field, dump),
         "interface_length_mask": lambda: pp.interface_length(mask, dom),
+        "e_eps": lambda: pp.e_eps(u),
+        "e_eps_subdomain": lambda: pp.e_eps(u, subdomain=inner_disc),
+        "sharp_energy": lambda: pp.sharp_energy(pairs[0]),
+        "l2_gap": lambda: pp.l2_gap(u.values, v.values, dom),
     }
     return calls, zeros.nbytes
 
