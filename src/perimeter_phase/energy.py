@@ -64,9 +64,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise DomainError("field values must be finite")
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.domain, self.values.copy())
-
 
 def _check_amplitude(values: np.ndarray, bound_m: float) -> None:
     if not (bound_m > 0):
@@ -153,10 +150,6 @@ class SharpPair:
         if self.mask is not None:
             return self.mask
         return self.node_sd >= 0.0
-
-    def indicator_difference(self) -> np.ndarray:
-        """+1 on the set, -1 off it, per node."""
-        return np.where(self.node_mask(), 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -385,9 +378,8 @@ def l2_gap(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
     return math.sqrt(_blocked_sum(domain.node_shape, fill))
 
 
-def l1_gap(a: np.ndarray, b: np.ndarray, domain: Domain, out=None) -> float:
-    """Node-weight L1 distance between two node arrays; the weighted
-    difference is formed in out when given, which may be a or b."""
-    diff = np.subtract(a, b, out=out, dtype=float, order="C")
+def l1_gap(a: np.ndarray, b: np.ndarray, domain: Domain) -> float:
+    """Node-weight L1 distance between two node arrays."""
+    diff = np.subtract(a, b, dtype=float, order="C")
     np.abs(diff, out=diff)
     return float(np.sum(np.multiply(domain.node_weights, diff, out=diff)))

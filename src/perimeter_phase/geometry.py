@@ -130,19 +130,6 @@ class Domain:
                 grid = _GRID_CACHE[key] = _build_grid(self)
         vars(self).update(grid)
 
-    def signed_distance(self, x, y=None):
-        """Signed distance to the domain boundary, positive inside."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "interval":
-            return np.minimum(x - self.lo, self.hi - x)
-        y = np.asarray(y, dtype=float)
-        if self.kind == "box":
-            return np.minimum(
-                np.minimum(x - self.lo, self.hi - x),
-                np.minimum(y - self.lo, self.hi - y),
-            )
-        return Disc(self.center, self.radius).signed_distance(x, y)
-
     def to_dict(self) -> dict:
         if self.kind == "ball":
             return {
@@ -162,11 +149,19 @@ class Domain:
         if kind not in _DOMAIN_KINDS:
             raise DomainError(f"domain.kind must be interval, box, or ball, got {kind!r}")
         required = ("n", "radius") if kind == "ball" else ("n", "lo", "hi")
+        keys = required + ("center",) if kind == "ball" else required
+        _check_keys(data, ("kind",) + keys, f"domain kind {kind!r}")
         for key in required:
             if key not in data:
                 raise DomainError(f"missing required key 'domain.{key}'")
-        keys = required + ("center",) if kind == "ball" else required
         return cls(kind=kind, **{key: data[key] for key in keys if key in data})
+
+
+def _check_keys(data: dict, known, owner: str) -> None:
+    """DomainError naming every key of data that is not in known."""
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise DomainError(f"unknown key {', '.join(map(repr, unknown))} for {owner}")
 
 
 def _compact(a: np.ndarray) -> np.ndarray:
@@ -212,8 +207,9 @@ def _build_grid(domain: Domain) -> dict:
             cell_w = h * h
             measure = (domain.hi - domain.lo) ** 2
         else:
-            cell_w = h * h * np.clip(0.5 + domain.signed_distance(cell_x, cell_y) / h, 0.0, 1.0)
-            boundary |= domain.signed_distance(nodes_x, nodes_y) <= 0.0
+            disc = Disc(domain.center, domain.radius)
+            cell_w = h * h * np.clip(0.5 + disc.signed_distance(cell_x, cell_y) / h, 0.0, 1.0)
+            boundary |= disc.signed_distance(nodes_x, nodes_y) <= 0.0
             measure = math.pi * domain.radius**2
 
     # One weight array: a cell's weight sits at its anchor node, the last
@@ -261,17 +257,6 @@ class Region:
     def signed_distance(self, x, y=None):
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
-
-def _num_to_json(v: float):
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return v
-
 
 def _num_from_json(v) -> float:
     if v == "inf":
@@ -309,12 +294,6 @@ class IntervalUnion(Region):
             best = np.maximum(best, np.minimum(left, right))
         return best
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "interval_union",
-            "intervals": [[_num_to_json(a), _num_to_json(b)] for a, b in self.intervals],
-        }
-
 
 def _plane_points(region: Region, x, y):
     """x and y as float arrays; DomainError without y, as on an interval."""
@@ -344,9 +323,6 @@ class Disc(Region):
         np.hypot(_compact(x) - self.center[0], _compact(y) - self.center[1], out=out)
         return np.subtract(self.radius, out, out=out)
 
-    def to_dict(self) -> dict:
-        return {"type": "disc", "center": list(self.center), "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class HalfPlane(Region):
@@ -371,9 +347,6 @@ class HalfPlane(Region):
         x, y = _plane_points(self, x, y)
         return self.normal[0] * x + self.normal[1] * y - self.offset
 
-    def to_dict(self) -> dict:
-        return {"type": "half_plane", "normal": list(self.normal), "offset": self.offset}
-
 
 @dataclass(frozen=True)
 class Complement(Region):
@@ -381,9 +354,6 @@ class Complement(Region):
 
     def signed_distance(self, x, y=None):
         return -np.asarray(self.inner.signed_distance(x, y))
-
-    def to_dict(self) -> dict:
-        return {"type": "complement", "inner": self.inner.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -398,9 +368,6 @@ class Union(Region):
         sds = (np.asarray(p.signed_distance(x, y), dtype=float) for p in self.parts)
         return functools.reduce(np.maximum, sds)
 
-    def to_dict(self) -> dict:
-        return {"type": "union", "parts": [p.to_dict() for p in self.parts]}
-
 
 @dataclass(frozen=True)
 class Intersection(Region):
@@ -414,17 +381,11 @@ class Intersection(Region):
         sds = (np.asarray(p.signed_distance(x, y), dtype=float) for p in self.parts)
         return functools.reduce(np.minimum, sds)
 
-    def to_dict(self) -> dict:
-        return {"type": "intersection", "parts": [p.to_dict() for p in self.parts]}
-
 
 @dataclass(frozen=True)
 class FullSpace(Region):
     def signed_distance(self, x, y=None):
         return np.full(np.shape(np.asarray(x, dtype=float)), math.inf)
-
-    def to_dict(self) -> dict:
-        return {"type": "full_space"}
 
 
 @dataclass(frozen=True)
@@ -432,34 +393,31 @@ class EmptySpace(Region):
     def signed_distance(self, x, y=None):
         return np.full(np.shape(np.asarray(x, dtype=float)), -math.inf)
 
-    def to_dict(self) -> dict:
-        return {"type": "empty_space"}
+
+# Each region type's keys besides "type", and its reader.
+_REGION_READERS = {
+    "interval_union": (("intervals",), lambda d: IntervalUnion(
+        tuple((_num_from_json(a), _num_from_json(b)) for a, b in d["intervals"]))),
+    "disc": (("center", "radius"), lambda d: Disc(tuple(d["center"]), d["radius"])),
+    "half_plane": (("normal", "offset"), lambda d: HalfPlane(tuple(d["normal"]), d["offset"])),
+    "complement": (("inner",), lambda d: Complement(region_from_dict(d["inner"]))),
+    "union": (("parts",), lambda d: Union(tuple(map(region_from_dict, d["parts"])))),
+    "intersection": (("parts",), lambda d: Intersection(tuple(map(region_from_dict, d["parts"])))),
+    "full_space": ((), lambda d: FullSpace()),
+    "empty_space": ((), lambda d: EmptySpace()),
+}
 
 
 def region_from_dict(data: dict) -> Region:
+    """The region a JSON object describes; DomainError for an unknown type or key."""
     if not isinstance(data, dict):
         raise DomainError(f"a region must be an object, got {data!r}")
     kind = data.get("type")
-    if kind == "interval_union":
-        return IntervalUnion(
-            tuple(
-                (_num_from_json(a), _num_from_json(b)) for a, b in data["intervals"]
-            )
-        )
-    if kind == "disc":
-        return Disc(tuple(data["center"]), data["radius"])
-    if kind == "half_plane":
-        return HalfPlane(tuple(data["normal"]), data["offset"])
-    if kind == "complement":
-        return Complement(region_from_dict(data["inner"]))
-    if kind in ("union", "intersection"):
-        parts = tuple(region_from_dict(p) for p in data["parts"])
-        return (Union if kind == "union" else Intersection)(parts)
-    if kind == "full_space":
-        return FullSpace()
-    if kind == "empty_space":
-        return EmptySpace()
-    raise DomainError(f"unknown region type {kind!r}")
+    if not isinstance(kind, str) or kind not in _REGION_READERS:
+        raise DomainError(f"unknown region type {kind!r}")
+    keys, read = _REGION_READERS[kind]
+    _check_keys(data, ("type",) + keys, f"region type {kind!r}")
+    return read(data)
 
 
 def rasterize(region: Region, domain: Domain) -> np.ndarray:

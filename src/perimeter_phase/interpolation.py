@@ -452,8 +452,6 @@ class BarrierResult:
     tent_dirichlet: float
     feasible: bool
     epsilon_threshold: float
-    interface_radius: float
-    bound_m: float
 
 
 def _barrier_geometry(domain: Domain, interface_radius: float):
@@ -583,6 +581,4 @@ def build_barrier(
         tent_dirichlet=tent_dirichlet,
         feasible=feasible,
         epsilon_threshold=threshold,
-        interface_radius=float(interface_radius),
-        bound_m=float(bound_m),
     )

@@ -81,9 +81,13 @@ def build_recovery(
     vals = state.values  # the state holds a copy; free the spliced array
     breakdown = energy_mod.e_eps(state)
     l2 = energy_mod.l2_gap(vals, u, domain)
+    # The state is >= 0 on the set and <= 0 off it (splice_profile; +/-0.0
+    # counts on both sides), and so is h~ in [-1, 1]: its gap to the set's
+    # +/-1 indicator is 1 - |h~| bit for bit, as rounding is symmetric.
     phase = np.divide(vals, math.sqrt(epsilon))
     potential.h_tilde(phase, out=phase)
-    h_l1 = energy_mod.l1_gap(phase, pair.indicator_difference(), domain, out=phase)
+    np.subtract(1.0, np.abs(phase, out=phase), out=phase)
+    h_l1 = float(np.sum(np.multiply(domain.node_weights, phase, out=phase)))
     report = RecoveryReport(
         epsilon=float(epsilon),
         delta_bar=delta_bar,

@@ -594,8 +594,15 @@ BALL = {"kind": "ball", "radius": 1.0, "n": 64}
         (dict(BALL, radius=float("nan")), "domain.radius must be a positive finite number"),
         (dict(INTERVAL, lo=float("-inf")), "domain needs finite numbers lo < hi, got lo=-inf"),
         (dict(INTERVAL, hi="1"), "domain needs finite numbers lo < hi"),
+        # A key the kind does not read was dropped: a misspelt centre ran on
+        # a ball centred at the origin.
+        (dict(BALL, centre=[0.5, 0.0]), "unknown key 'centre' for domain kind 'ball'"),
+        (dict(BALL, lo=-1.0, hi=1.0), "unknown key 'lo', 'hi' for domain kind 'ball'"),
+        (dict(INTERVAL, center=[0.0, 0.0]), "unknown key 'center' for domain kind 'interval'"),
+        (dict(INTERVAL, kind="box", radius=1.0), "unknown key 'radius' for domain kind 'box'"),
     ],
-    ids=["list", "kind_list", "no_radius", "nan_radius", "infinite_lo", "string_hi"],
+    ids=["list", "kind_list", "no_radius", "nan_radius", "infinite_lo", "string_hi",
+         "ball_centre", "ball_lo_hi", "interval_center", "box_radius"],
 )
 def test_malformed_config_domain_is_a_config_error(tmp_path, capsys, domain, message):
     payload = {"domain": domain, "interface_radius": 0.5, "epsilon": 1e-2}
@@ -638,13 +645,16 @@ def _with_domain(**changes):
                                            if v is not _DROP})
 
 
-# Each of these escaped cli.main as a KeyError, TypeError, IndexError or AttributeError.
+# Each of these escaped cli.main as a KeyError, TypeError, IndexError or
+# AttributeError, except the last two: a key its kind does not read was dropped.
 SIDECAR_DAMAGE = {
     "no_domain": (_without("domain"), "error[input]"),
     "domain_list": (lambda meta: dict(meta, domain=[]), "error[input]"),
     "no_n": (_with_domain(n=_DROP), "error[domain]"),
     "null_n": (_with_domain(n=None), "error[domain]"),
     "one_number_center": (_with_domain(center=[0.0]), "error[domain]"),
+    "ball_lo": (_with_domain(lo=0.5), "error[domain]"),
+    "ball_centre": (_with_domain(centre=[0.5, 0.0]), "error[domain]"),
 }
 
 
@@ -707,9 +717,16 @@ def test_region_that_is_not_an_object_is_a_config_error(tmp_path, capsys, field_
          "half-plane normal must be two finite numbers, got (-inf, 1.0)"),
         ({"type": "half_plane", "normal": [1.5e308, 1.5e308], "offset": 0.0},
          "half-plane normal must be nonzero, got (1.5e+308, 1.5e+308)"),  # length overflows
+        ({"type": "disc", "center": [0.0, 0.0], "radius": 0.5, "centre": [1.0, 0.0]},
+         "unknown key 'centre' for region type 'disc'"),
+        ({"type": "half_plane", "normal": [1.0, 0.0], "offset": 0.0, "radius": 1.0, "x": 0},
+         "unknown key 'radius', 'x' for region type 'half_plane'"),
+        ({"type": "complement", "inner": {"type": "full_space", "inner": {}}},
+         "unknown key 'inner' for region type 'full_space'"),
     ],
     ids=["disc-nan-center", "disc-short-center", "disc-inf-radius", "half-plane-nan-offset",
-         "half-plane-inf-normal", "half-plane-huge-normal"],
+         "half-plane-inf-normal", "half-plane-huge-normal", "disc-unknown-key",
+         "half-plane-unknown-keys", "nested-unknown-key"],
 )
 def test_non_finite_region_parameters_are_rejected(tmp_path, capsys, field_path, region, message):
     with pytest.raises(pp.DomainError) as err:

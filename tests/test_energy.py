@@ -54,7 +54,6 @@ def test_sharp_pair_validation():
         pp.SharpPair(field, region=region, mask=x >= 0)  # both
     pair = pp.SharpPair(field, region=region)
     assert np.array_equal(pair.node_mask(), x >= 0.0)
-    assert np.array_equal(pair.indicator_difference(), np.where(x >= 0, 1.0, -1.0))
     # sign inconsistency: positive values off the set
     with pytest.raises(InvalidPairError):
         pp.SharpPair(pp.ScalarField(dom, np.abs(x)), region=region)
@@ -167,7 +166,6 @@ def test_region_pair_mask_is_rasterize_bitwise(domain, region):
     reference = pp.rasterize(region, domain)
     assert mask.dtype == reference.dtype == bool
     assert np.array_equal(mask, reference)
-    assert np.array_equal(pair.indicator_difference(), np.where(reference, 1.0, -1.0))
 
 
 def test_subdomain_energies_compute_cell_fractions_once(monkeypatch):

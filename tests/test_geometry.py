@@ -100,19 +100,41 @@ _JSON_JUNK = st.sampled_from([None, "1", [], {}, True, math.inf, -math.inf, math
 _JSON_VALUE = st.one_of(_JSON_JUNK, st.integers(-3, 40), st.floats(-1e6, 1e6))
 
 
+# The keys each domain kind reads besides "kind".
+_DOMAIN_KEYS = {
+    "interval": ("n", "lo", "hi"),
+    "box": ("n", "lo", "hi"),
+    "ball": ("n", "radius", "center"),
+}
+
+
 @st.composite
 def domain_data(draw):
-    """A JSON-like domain object with some keys dropped, or something else."""
-    data = {
-        "kind": draw(st.one_of(st.sampled_from(("interval", "box", "ball")), _JSON_JUNK)),
-        "n": draw(st.one_of(_JSON_JUNK, st.integers(-3, 40), st.floats(-3.0, 40.0))),
-        "lo": draw(_JSON_VALUE),
-        "hi": draw(_JSON_VALUE),
-        "radius": draw(_JSON_VALUE),
-        "center": draw(st.one_of(_JSON_VALUE, st.lists(_JSON_VALUE, max_size=3))),
+    """A JSON-like domain object that builds a grid, or the same with one
+    fault: a bad value, a dropped key, a key its kind does not read or a
+    bad kind; or something else."""
+    kind = draw(st.sampled_from(sorted(_DOMAIN_KEYS)))
+    good = {
+        "n": st.integers(2, 40),
+        "lo": st.floats(-10.0, 0.0),
+        "hi": st.floats(1e-3, 10.0),
+        "radius": st.floats(1e-3, 10.0),
+        "center": st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
     }
-    dropped = draw(st.sets(st.sampled_from(sorted(data))))
-    return draw(st.one_of(st.just({k: v for k, v in data.items() if k not in dropped}), _JSON_JUNK))
+    data = {"kind": kind, **{key: draw(good[key]) for key in _DOMAIN_KEYS[kind]}}
+    fault = draw(st.sampled_from((None, "value", "drop", "stray", "kind", "junk")))
+    key = draw(st.sampled_from(sorted(data)))
+    if fault == "value":
+        data[key] = draw(st.one_of(_JSON_VALUE, st.lists(_JSON_VALUE, max_size=3)))
+    elif fault == "drop":
+        del data[key]
+    elif fault == "stray":
+        data[draw(st.sampled_from(sorted(good) + ["centre"]))] = draw(_JSON_VALUE)
+    elif fault == "kind":
+        data["kind"] = draw(_JSON_JUNK)
+    elif fault == "junk":
+        return draw(_JSON_JUNK)
+    return data
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -122,6 +144,7 @@ def test_domain_from_dict_builds_a_finite_grid_or_raises_domain_error(data):
         domain = pp.Domain.from_dict(data)
     except DomainError:
         return
+    assert set(data) <= {"kind", *_DOMAIN_KEYS[domain.kind]}
     assert 0.0 < domain.h < math.inf
     for array in grid_arrays(domain):
         assert array.dtype == bool or np.all(np.isfinite(array))
@@ -263,16 +286,21 @@ def test_cached_grid_equals_a_fresh_build(data):
     assert_same_grid_bits(cached, make_domain(second))
 
 
-def test_domain_signed_distance():
-    dom = pp.Domain.interval(-1.0, 1.0, 8)
-    assert dom.signed_distance(0.0) == pytest.approx(1.0)
-    assert dom.signed_distance(0.75) == pytest.approx(0.25)
-    box = pp.Domain.box(-1.0, 1.0, 8)
-    assert box.signed_distance(0.0, 0.0) == pytest.approx(1.0)
-    assert box.signed_distance(0.9, -0.2) == pytest.approx(0.1)
-    ball = pp.Domain.ball(1.0, 8)
-    assert ball.signed_distance(0.0, 0.0) == pytest.approx(1.0)
-    assert ball.signed_distance(0.6, 0.8) == pytest.approx(0.0, abs=1e-15)
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 64, 98, 196, 512])
+@pytest.mark.parametrize(
+    "center, radius", [((0.0, 0.0), 1.0), ((0.3, -0.7), 0.5), ((1e3, -1e3), 2.0)]
+)
+def test_ball_cut_cells_follow_the_disc_fraction_rule(n, center, radius):
+    # The grid weighs cells and flags boundary nodes by the disc of the
+    # ball, with the rule region_cell_fraction states for any region.
+    dom = pp.Domain.ball(radius, n, center)
+    disc = pp.Disc(center, radius)
+    fraction = region_cell_fraction(disc, dom)
+    assert dom.cell_weights.tobytes() == (dom.h * dom.h * fraction).tobytes()
+    edge = np.ones(dom.node_shape, dtype=bool)
+    edge[1:-1, 1:-1] = False
+    outside = disc.signed_distance(dom.nodes_x, dom.nodes_y) <= 0.0
+    assert np.array_equal(dom.boundary_mask, edge | outside)
 
 
 def sample_points(rng, count):
@@ -375,29 +403,29 @@ def test_boolean_regions():
     assert inter.signed_distance(-0.25, 0.0) == pytest.approx(-0.25)
 
 
-def test_region_dict_roundtrip():
-    regions = [
-        pp.IntervalUnion(((-0.5, 0.5),)),
-        pp.IntervalUnion(((0.0, np.inf),)),
-        pp.Disc((0.25, -0.5), 0.75),
-        pp.HalfPlane((0.0, 1.0), -0.2),
-        pp.Complement(pp.Disc((0.0, 0.0), 0.3)),
-        pp.Union((pp.Disc((0.0, 0.0), 0.3), pp.HalfPlane((1.0, 0.0), 0.5))),
-        pp.Intersection((pp.Disc((0.0, 0.0), 0.9), pp.Disc((0.2, 0.0), 0.9))),
-        pp.FullSpace(),
-        pp.EmptySpace(),
+def test_region_from_dict_reads_literal_dicts():
+    disc = {"type": "disc", "center": [0.25, -0.5], "radius": 0.75}
+    plane = {"type": "half_plane", "normal": [3.0, 4.0], "offset": 1.0}
+    cases = [
+        ({"type": "interval_union", "intervals": [[-0.5, 0.5], [1.0, "inf"]]},
+         pp.IntervalUnion(((-0.5, 0.5), (1.0, math.inf)))),
+        ({"type": "interval_union", "intervals": [["-inf", 0.0]]},
+         pp.IntervalUnion(((-math.inf, 0.0),))),
+        (disc, pp.Disc((0.25, -0.5), 0.75)),
+        # The normal is normalized, and the offset with it.
+        (plane, pp.HalfPlane((0.6, 0.8), 0.2)),
+        ({"type": "complement", "inner": disc}, pp.Complement(pp.Disc((0.25, -0.5), 0.75))),
+        ({"type": "union", "parts": [disc, plane]},
+         pp.Union((pp.Disc((0.25, -0.5), 0.75), pp.HalfPlane((3.0, 4.0), 1.0)))),
+        ({"type": "intersection", "parts": [disc]},
+         pp.Intersection((pp.Disc((0.25, -0.5), 0.75),))),
+        ({"type": "full_space"}, pp.FullSpace()),
+        ({"type": "empty_space"}, pp.EmptySpace()),
     ]
-    rng = np.random.default_rng(23)
-    pts = rng.uniform(-1.5, 1.5, size=(100, 2))
-    for region in regions:
-        clone = pp.region_from_dict(region.to_dict())
-        if isinstance(region, pp.IntervalUnion):
-            a = region.signed_distance(pts[:, 0])
-            b = clone.signed_distance(pts[:, 0])
-        else:
-            a = region.signed_distance(pts[:, 0], pts[:, 1])
-            b = clone.signed_distance(pts[:, 0], pts[:, 1])
-        assert np.array_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    for data, region in cases:
+        assert pp.region_from_dict(data) == region
+    half_plane = pp.region_from_dict(plane)
+    assert half_plane.normal == (0.6, 0.8) and half_plane.offset == 0.2
 
 
 def test_rasterize_counts():

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perimeter_phase as pp
+from perimeter_phase import potential
 from perimeter_phase.errors import ResolutionError, UnsupportedRegionError
 
 
@@ -173,3 +176,54 @@ def test_recovery_mask_only_pair_rejected():
     pair = pp.SharpPair(pp.ScalarField(dom, x.copy()), mask=(x >= 0.0))
     with pytest.raises(UnsupportedRegionError):
         pp.build_recovery(pair, 1e-2)
+
+
+def indicator_gap(state, pair):
+    """The phase gap by its definition: the node-weight L1 distance from
+    h_tilde(u / sqrt(eps)) to the set's +/-1 indicator."""
+    phase = potential.h_tilde(state.values / math.sqrt(state.epsilon))
+    diff = np.abs(phase - np.where(pair.node_mask(), 1.0, -1.0))
+    return float(np.sum(state.domain.node_weights * diff))
+
+
+_BALL = pp.Domain.ball(1.0, 64)
+_BOX = pp.Domain.box(-1.0, 1.0, 32)
+_LINE = pp.Domain.interval(-1.0, 1.0, 64)
+GAP_CASES = [
+    (_BALL, pp.Disc((0.1, 0.0), 0.5)),
+    (pp.Domain.ball(0.75, 32, (0.2, -0.3)), pp.Disc((0.0, 0.0), 0.4)),
+    (_BALL, pp.Disc((3.0, 0.0), 0.5)),  # misses the domain
+    (_BALL, pp.HalfPlane((1.0, 0.0), 0.0)),  # through a grid line: s = 0 at nodes
+    (_BOX, pp.HalfPlane((1.0, 2.0), 0.1)),
+    (_BALL, pp.Complement(pp.HalfPlane((0.0, 1.0), 0.0))),  # s = -0.0 at nodes
+    (_BALL, pp.Complement(pp.Disc((0.0, 0.2), 0.3))),
+    (_BOX, pp.FullSpace()),
+    (_BOX, pp.EmptySpace()),
+    (_LINE, pp.IntervalUnion(((-0.5, 0.25), (0.5, math.inf)))),
+    (_LINE, pp.Complement(pp.IntervalUnion(((-math.inf, 0.0),)))),
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    case=st.integers(0, len(GAP_CASES) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.floats(0.0, 1.0),
+    amplitude=st.sampled_from([0.0, 0.3, 1.0]),
+    eps=st.sampled_from([0.2, 0.1, 0.05]),
+)
+def test_recovery_phase_gap_is_the_indicator_gap_bitwise(case, seed, zeros, amplitude, eps):
+    domain, region = GAP_CASES[case]
+    rng = np.random.default_rng(seed)
+    inside = pp.rasterize(region, domain)
+    size = rng.uniform(0.0, amplitude, domain.node_shape)
+    size[rng.random(domain.node_shape) < zeros] = 0.0
+    # A sign-consistent field whose zeros are +0.0 or -0.0 on either side.
+    values = np.where(inside, size, -size)
+    flip = (size == 0.0) & (rng.random(domain.node_shape) < 0.5)
+    values[flip] = -values[flip]
+    pair = pp.SharpPair(pp.ScalarField(domain, values), region=region)
+    state, report = pp.build_recovery(pair, eps)
+    assert not np.any(inside & (state.values < 0.0))
+    assert not np.any(~inside & (state.values > 0.0))
+    assert report.h_tilde_l1_gap.hex() == indicator_gap(state, pair).hex()
