@@ -27,10 +27,14 @@ one chunk per worker.  Results are joined in input order, so the thread
 count never changes the output bytes, and when items fail the exception
 raised is that of the first failing item in input order.  The pool has
 one worker per CPU this process may run on (os.sched_getaffinity where
-it exists, os.cpu_count elsewhere), at most 4.  Recovery builds its
-scales in turn and dumps each as it is built: on the pool two builds
-overlapped, and the benchmark's construct2d pipeline peaked at about
-73 MB of RSS instead of 58 MB, and was no faster.
+it exists, os.cpu_count elsewhere), at most 4.  The main thread draws
+each field's 9x9 knots in index order from the seeded generator; the
+worker that takes the knots builds the field, solves it and drops it, so
+the fields alive at once are one per worker, whatever the count.
+
+Recovery builds its scales in turn and dumps each as it is built: on the
+pool two builds overlapped, and the benchmark's construct2d pipeline
+peaked at about 73 MB of RSS instead of 58 MB, and was no faster.
 """
 
 from __future__ import annotations
@@ -404,7 +408,7 @@ def _run_profile(cfg: dict, out_dir: str) -> List[str]:
 
 def _run_energy(cfg: dict, out_dir: str) -> List[str]:
     field = fieldio.load_field(cfg["field"])
-    sup = float(np.max(np.abs(field.values)))
+    sup = energy_mod._sup_abs(field.values)
     state = PhaseState(field, cfg["epsilon"], bound_m=max(sup, 1.0))
     breakdown = energy_mod.e_eps(state, subdomain=cfg["region"])
     payload = dataclasses.asdict(breakdown)
@@ -530,7 +534,7 @@ def _initial_state(cfg: dict) -> PhaseState:
     bound_m = cfg["bound_m"]
     if initial not in _STARTS:
         field = fieldio.load_field(initial)
-        return PhaseState(field, epsilon, max(bound_m, float(np.max(np.abs(field.values)))))
+        return PhaseState(field, epsilon, max(bound_m, energy_mod._sup_abs(field.values)))
     domain = cfg["domain"]
     left, right = cfg["boundary"]["left"], cfg["boundary"]["right"]
     x = domain.nodes_x
@@ -633,11 +637,15 @@ def _bilinear_upsample(coarse: np.ndarray, m: int) -> np.ndarray:
     return rows[:, i0] * w0[None, :] + rows[:, i1] * w1[None, :]
 
 
+def _positive_field(domain: Domain, knots: np.ndarray, floor: float) -> ScalarField:
+    """floor plus the square of the bilinear upsampling of a knot array."""
+    smooth = _bilinear_upsample(knots, domain.node_shape[0])
+    return ScalarField(domain, floor + smooth * smooth)
+
+
 def random_positive_field(domain: Domain, rng: np.random.Generator, floor: float) -> ScalarField:
     """Smooth strictly positive random field, floor at the boundary and below."""
-    coarse = rng.standard_normal((9, 9))
-    smooth = _bilinear_upsample(coarse, domain.node_shape[0])
-    return ScalarField(domain, floor + smooth * smooth)
+    return _positive_field(domain, rng.standard_normal((9, 9)), floor)
 
 
 def _run_harmonic_check(cfg: dict, out_dir: str) -> List[str]:
@@ -646,16 +654,18 @@ def _run_harmonic_check(cfg: dict, out_dir: str) -> List[str]:
     count = cfg["count"]
     domain = Domain.box(-1.0, 1.0, cfg["n"])
     rng = Generator(Philox(cfg["seed"]))
-    fields = [random_positive_field(domain, rng, cfg["boundary_floor"]) for _ in range(count)]
+    # Drawn here in index order; the workers build the fields (module doc).
+    knots = [rng.standard_normal((9, 9)) for _ in range(count)]
 
-    def process(field: ScalarField):
+    def process(coarse: np.ndarray):
+        field = _positive_field(domain, coarse, cfg["boundary_floor"])
         replaced = minimize.harmonic_replacement(field)
         before = energy_mod.dirichlet_energy(field)
         after = energy_mod.dirichlet_energy(replaced)
         positive = bool(np.all(replaced.values > 0.0))
         return before, after, positive
 
-    results = _map_chunks(process, fields)
+    results = _map_chunks(process, knots)
 
     rows = []
     margins = []

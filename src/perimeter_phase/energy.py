@@ -65,10 +65,15 @@ class ScalarField:
             raise DomainError("field values must be finite")
 
 
+def _sup_abs(values: np.ndarray) -> float:
+    """max |values|, exactly and without a |values| temporary; +0.0 for zeros."""
+    return max(abs(float(np.max(values))), abs(float(np.min(values))))
+
+
 def _check_amplitude(values: np.ndarray, bound_m: float) -> None:
     if not (bound_m > 0):
         raise DomainError(f"bound_m must be positive, got {bound_m}")
-    sup = float(np.max(np.abs(values))) if values.size else 0.0
+    sup = _sup_abs(values) if values.size else 0.0
     if sup > bound_m + _SIGN_TOL:
         raise DomainError(
             f"field exceeds the amplitude bound: sup |u| = {sup} > M = {bound_m}"

@@ -394,7 +394,9 @@ class EmptySpace(Region):
         return np.full(np.shape(np.asarray(x, dtype=float)), -math.inf)
 
 
-# Each region type's keys besides "type", and its reader.
+# Each region type's keys besides "type", all required, and its reader;
+# the keys of _REGION_LISTS hold JSON arrays.
+_REGION_LISTS = frozenset({"intervals", "center", "normal", "parts"})
 _REGION_READERS = {
     "interval_union": (("intervals",), lambda d: IntervalUnion(
         tuple((_num_from_json(a), _num_from_json(b)) for a, b in d["intervals"]))),
@@ -409,7 +411,8 @@ _REGION_READERS = {
 
 
 def region_from_dict(data: dict) -> Region:
-    """The region a JSON object describes; DomainError for an unknown type or key."""
+    """The region a JSON object describes; DomainError for an unknown type
+    or key, a missing key, or a list key that holds no list."""
     if not isinstance(data, dict):
         raise DomainError(f"a region must be an object, got {data!r}")
     kind = data.get("type")
@@ -417,6 +420,11 @@ def region_from_dict(data: dict) -> Region:
         raise DomainError(f"unknown region type {kind!r}")
     keys, read = _REGION_READERS[kind]
     _check_keys(data, ("type",) + keys, f"region type {kind!r}")
+    for key in keys:
+        if key not in data:
+            raise DomainError(f"missing required key 'region.{key}'")
+        if key in _REGION_LISTS and not isinstance(data[key], (list, tuple)):
+            raise DomainError(f"region.{key} must be a list, got {data[key]!r}")
     return read(data)
 
 

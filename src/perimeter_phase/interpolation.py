@@ -340,10 +340,7 @@ def glue(
     domain = inner_state.domain
     epsilon = inner_state.epsilon
     _check_glue_domain(domain, spec)
-    sup = max(
-        float(np.max(np.abs(inner_state.values))),
-        float(np.max(np.abs(outer_state.values))),
-    )
+    sup = max(energy_mod._sup_abs(inner_state.values), energy_mod._sup_abs(outer_state.values))
     if sup > spec.bound_m + 1e-12:
         raise DomainError(
             f"states exceed the annulus amplitude bound {spec.bound_m}: sup = {sup}"
@@ -550,7 +547,7 @@ def build_barrier(
     tent = np.clip(np.multiply(s, slope, out=s), -bound_m, bound_m, out=s)
     splice_profile(pos, vals, tent, shift, -shift)
     del s, tent
-    sup = float(np.max(np.abs(vals)))
+    sup = energy_mod._sup_abs(vals)
     state = PhaseState(
         field=ScalarField(domain, vals),
         epsilon=epsilon,

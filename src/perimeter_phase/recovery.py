@@ -84,10 +84,15 @@ def build_recovery(
     # The state is >= 0 on the set and <= 0 off it (splice_profile; +/-0.0
     # counts on both sides), and so is h~ in [-1, 1]: its gap to the set's
     # +/-1 indicator is 1 - |h~| bit for bit, as rounding is symmetric.
-    phase = np.divide(vals, math.sqrt(epsilon))
-    potential.h_tilde(phase, out=phase)
-    np.subtract(1.0, np.abs(phase, out=phase), out=phase)
-    h_l1 = float(np.sum(np.multiply(domain.node_weights, phase, out=phase)))
+    root_eps = math.sqrt(epsilon)
+
+    def fill(rows, out):
+        np.divide(vals[rows], root_eps, out=out)
+        potential.h_tilde(out, out=out)
+        np.subtract(1.0, np.abs(out, out=out), out=out)
+        np.multiply(domain.node_weights[rows], out, out=out)
+
+    h_l1 = energy_mod._blocked_sum(domain.node_shape, fill)
     report = RecoveryReport(
         epsilon=float(epsilon),
         delta_bar=delta_bar,

@@ -723,10 +723,13 @@ def test_region_that_is_not_an_object_is_a_config_error(tmp_path, capsys, field_
          "unknown key 'radius', 'x' for region type 'half_plane'"),
         ({"type": "complement", "inner": {"type": "full_space", "inner": {}}},
          "unknown key 'inner' for region type 'full_space'"),
+        ({"type": "disc", "center": [0.1, 0.0]}, "missing required key 'region.radius'"),
+        ({"type": "union", "parts": 5}, "region.parts must be a list, got 5"),
     ],
     ids=["disc-nan-center", "disc-short-center", "disc-inf-radius", "half-plane-nan-offset",
          "half-plane-inf-normal", "half-plane-huge-normal", "disc-unknown-key",
-         "half-plane-unknown-keys", "nested-unknown-key"],
+         "half-plane-unknown-keys", "nested-unknown-key", "disc-missing-radius",
+         "union-parts-not-a-list"],
 )
 def test_non_finite_region_parameters_are_rejected(tmp_path, capsys, field_path, region, message):
     with pytest.raises(pp.DomainError) as err:

@@ -32,6 +32,26 @@ def test_scalar_field_validation():
     assert field.values[0] == 0.0
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_amplitude_check_reads_the_exact_sup(sign):
+    values = np.zeros((65, 65))
+    values[3, 5] = sign * (1.0 + 2e-12)  # just above M plus the 1e-12 tolerance
+    with pytest.raises(DomainError) as err:
+        energy._check_amplitude(values, 1.0)
+    assert str(err.value) == (
+        f"field exceeds the amplitude bound: sup |u| = {1.0 + 2e-12} > M = 1.0"
+    )
+    values[3, 5] = sign * (1.0 + 1e-12)
+    energy._check_amplitude(values, 1.0)
+
+
+def test_amplitude_check_accepts_negative_zeros_with_a_positive_sup():
+    neg_zero = np.full((65, 65), -0.0)
+    energy._check_amplitude(neg_zero, 1.0)
+    sup = energy._sup_abs(neg_zero)
+    assert sup == 0.0 and math.copysign(1.0, sup) == 1.0
+
+
 def test_phase_state_validation():
     dom = pp.Domain.interval(-1.0, 1.0, 8)
     field = pp.ScalarField(dom, np.full(dom.node_shape, 1.5))
