@@ -634,13 +634,20 @@ def _upsample_weights(k: int, m: int):
 def _bilinear_upsample(coarse: np.ndarray, m: int) -> np.ndarray:
     i0, i1, w0, w1 = _upsample_weights(coarse.shape[0], m)
     rows = coarse[i0, :] * w0[:, None] + coarse[i1, :] * w1[:, None]
-    return rows[:, i0] * w0[None, :] + rows[:, i1] * w1[None, :]
+    # Each column gather is weighted and summed in place.
+    out, ahead = rows[:, i0], rows[:, i1]
+    out *= w0
+    ahead *= w1
+    out += ahead
+    return out
 
 
 def _positive_field(domain: Domain, knots: np.ndarray, floor: float) -> ScalarField:
     """floor plus the square of the bilinear upsampling of a knot array."""
     smooth = _bilinear_upsample(knots, domain.node_shape[0])
-    return ScalarField(domain, floor + smooth * smooth)
+    smooth *= smooth
+    smooth += floor
+    return ScalarField(domain, smooth)
 
 
 def random_positive_field(domain: Domain, rng: np.random.Generator, floor: float) -> ScalarField:
@@ -714,13 +721,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="perimeter-phase",
         description="Experiments with diffuse phase energies and their sharp limit.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--quiet", action="store_true", help="suppress the path listing")
+    parser.add_argument("command", choices=list(_RUNNERS), help="the experiment to run")
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument("--out", default=None, help="output directory override")
+    parser.add_argument("--seed", type=int, default=None, help="seed override")
+    parser.add_argument("--quiet", action="store_true", help="suppress the path listing")
     return parser
 
 

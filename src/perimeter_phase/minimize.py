@@ -27,11 +27,12 @@ harmonic_replacement solves the discrete Laplace equation with the
 field's boundary values.  On intervals and boxes, whose boundary is the
 array edge, discrete sine transforms diagonalise the stencil and solve it
 exactly with numpy's FFT; on balls, conjugate gradients preconditioned
-by that solve do.  The descent and the solve share one stencil,
-_laplacian, the exact first variation of the discrete Dirichlet sum, so
-the replacement is that sum's unique minimizer among fields with those
-boundary values, and the discrete minimum principle keeps it positive
-when the boundary is.
+by that solve do.  A sine-transform solve allocates one zero-padded
+buffer, which its 2 dim passes share, and holds one spectrum at a time.
+The descent and the solve share one stencil, _laplacian, the exact first
+variation of the discrete Dirichlet sum, so the replacement is that sum's
+unique minimizer among fields with those boundary values, and the
+discrete minimum principle keeps it positive when the boundary is.
 
 sharp_oracle_1d returns the closed-form minimizer of the 1D sharp
 functional over single-interface candidates.
@@ -216,19 +217,6 @@ def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResul
     )
 
 
-def _dst1(values: np.ndarray) -> np.ndarray:
-    """Negated type-I discrete sine transform along the last axis.
-
-    Returns -sum_j x_j sin(pi j k / (m + 1)) for k = 1..m, the imaginary
-    part of the real FFT of [0, x] zero-padded to length 2 (m + 1): the
-    first half of the odd extension [0, x, 0, -reversed(x)].
-    """
-    m = values.shape[-1]
-    padded = np.zeros(values.shape[:-1] + (2 * (m + 1),))
-    padded[..., 1 : m + 1] = values
-    return np.fft.rfft(padded).imag[..., 1 : m + 1]
-
-
 # Process-wide and read-only: harmonic-check reads a grid's eigenvalues
 # once per field and a ball solve once per CG step, on any pool worker.
 # Keeps the four most recently used (m, dim) grids.
@@ -245,21 +233,25 @@ def _stencil_eigenvalues(m: int, dim: int) -> np.ndarray:
 def _spectral_laplace_solve(rhs: np.ndarray) -> np.ndarray:
     """Solve the 3- or 5-point system A x = rhs on a whole interval or square.
 
-    rhs holds the nodes of the inner block.  The DST-I diagonalises the
-    tridiagonal [-1, 2, -1] of each axis with eigenvalues
+    rhs holds the nodes of the inner block; it is not written.  The DST-I
+    diagonalises the tridiagonal [-1, 2, -1] of each axis with eigenvalues
     4 sin^2(pi k / 2 (m + 1)), and applied twice it is (m + 1) / 2 times
-    the identity (Buzbee, Golub & Nielson 1970); the signs of the negated
-    transforms cancel in pairs.  With the eigenvalues cached, a solve
-    costs its 2 dim transforms and one division.
+    the identity (Buzbee, Golub & Nielson 1970).  Each of the 2 dim passes
+    takes the negated DST-I of the last axis, the imaginary part of the
+    real FFT of [0, x] zero-padded to 2 (m + 1), and transposes; the signs
+    cancel in pairs.  The passes share one padded buffer, and each drops
+    the previous spectrum before its FFT allocates the next.
     """
     m, dim = rhs.shape[0], rhs.ndim
     eig = _stencil_eigenvalues(m, dim)
+    padded = np.zeros(rhs.shape[:-1] + (2 * (m + 1),))
     coef = rhs
-    for _ in range(dim):
-        coef = _dst1(coef).T
-    coef /= eig
-    for _ in range(dim):
-        coef = _dst1(coef).T
+    for k in range(2 * dim):
+        padded[..., 1 : m + 1] = coef
+        del coef  # a view of the previous spectrum, freed before the next
+        coef = np.fft.rfft(padded).imag[..., 1 : m + 1].T
+        if k == dim - 1:
+            coef /= eig
     return coef
 
 

@@ -553,9 +553,9 @@ def test_ball_with_zero_boundary_data_returns_exact_zeros():
 @pytest.mark.parametrize(
     "domain, fill",
     [
-        (pp.Domain.interval(-1.0, 1.0, 16), 0.0),
-        (pp.Domain.box(-1.0, 1.0, 16), 0.0),
-        (pp.Domain.ball(1.0, 16), 0.0),
+        (pp.Domain.interval(-1.0, 1.0, 16), np.inf),
+        (pp.Domain.box(-1.0, 1.0, 16), np.inf),
+        (pp.Domain.ball(1.0, 16), np.inf),
         (pp.Domain.interval(-1.0, 1.0, 16), np.nan),
         (pp.Domain.box(-1.0, 1.0, 16), np.nan),
         (pp.Domain.ball(1.0, 16), np.nan),
@@ -563,10 +563,13 @@ def test_ball_with_zero_boundary_data_returns_exact_zeros():
     ids=["interval", "box", "ball", "interval-nan", "box-nan", "ball-nan"],
 )
 def test_spectral_residual_guard_fires(monkeypatch, domain, fill):
-    # A NaN residual must fail the guard too, not reach ScalarField as a
+    # Infinite eigenvalues give a zero solve, NaN ones a NaN solve.  A NaN
+    # residual must fail the guard too, not reach ScalarField as a
     # non-finite field (a DomainError).  On balls a zero or NaN
     # preconditioner stops CG at once, leaving a zero interior.
-    monkeypatch.setattr(minimize, "_dst1", lambda values: np.full(values.shape, fill))
+    monkeypatch.setattr(
+        minimize, "_stencil_eigenvalues", lambda m, dim: np.full((m,) * dim, fill)
+    )
     field = pp.ScalarField(domain, np.ones(domain.node_shape))
     with pytest.raises(NumericError, match="residual"):
         pp.harmonic_replacement(field)

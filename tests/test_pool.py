@@ -219,15 +219,23 @@ def _uncached_eigenvalues(m, dim):
     return lam if dim == 1 else lam[:, None] + lam[None, :]
 
 
+def _fresh_dst1(values):
+    # One freshly zero-padded array and one FFT per pass.
+    m = values.shape[-1]
+    padded = np.zeros(values.shape[:-1] + (2 * (m + 1),))
+    padded[..., 1 : m + 1] = values
+    return np.fft.rfft(padded).imag[..., 1 : m + 1]
+
+
 def _uncached_spectral_solve(rhs):
     m, dim = rhs.shape[0], rhs.ndim
     eig = _uncached_eigenvalues(m, dim)
     coef = rhs
     for _ in range(dim):
-        coef = minimize._dst1(coef).T
+        coef = _fresh_dst1(coef).T
     coef /= eig
     for _ in range(dim):
-        coef = minimize._dst1(coef).T
+        coef = _fresh_dst1(coef).T
     return coef
 
 
@@ -248,8 +256,10 @@ def test_spectral_solve_is_bitwise_the_uncached_formula(dim):
         expect = _uncached_spectral_solve(rhs.copy())
         # Twice: the first call fills the cache, the second reads it.
         for _ in range(2):
-            got = minimize._spectral_laplace_solve(rhs.copy())
+            given = rhs.copy()
+            got = minimize._spectral_laplace_solve(given)
             assert got.tobytes() == expect.tobytes(), n
+            assert given.tobytes() == rhs.tobytes(), n
 
 
 @pytest.mark.parametrize("k", [2, 9])
