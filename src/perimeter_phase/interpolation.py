@@ -12,7 +12,8 @@ the annulus.  The ramp radius r is chosen from a scan of candidates in
 [rho + delta/8, rho + delta/4] minimizing the ramp energy on the set
 where the ramp lies strictly between the two states; the glued energy
 then exceeds the two restricted energies by at most that amount, and the
-construction verifies the final budget directly.
+construction verifies the final budget directly, against restricted
+energies summed before any composition array exists.
 
 The ramp is evaluated only on its transition band |x| - r within
 reach = crossing_time + (bound - sqrt(eps))+ / tail_slope + h of r, where
@@ -20,13 +21,13 @@ bound is the largest |value| of the two states.  The profile's tail is
 exactly linear, so past reach the ramp exceeds bound by tail_slope * h:
 no state value lies beyond it, a cell outside the band is never in the
 sandwich, and the composition there equals the one with the ramp at
-+/- infinity.  The scan also skips every cell where the two states do not
-differ in the ramp's direction (anchor values lo >= hi): no ramp lies
-strictly between them there, so the cell adds an exact +0.0 at every
-candidate.  Saturated states that agree across the annulus leave no cell
-to scan, every scan energy is 0 and r is the first candidate.  Scan
-energies and glued values are bitwise those of the ramp evaluated
-everywhere.
++/- infinity, formed with no ramp grid.  The scan also skips every cell
+where the two states do not differ in the ramp's direction (anchor
+values lo >= hi): no ramp lies strictly between them there, so the cell
+adds an exact +0.0 at every candidate.  Saturated states that agree
+across the annulus leave no cell to scan, every scan energy is 0 and r
+is the first candidate.  Scan energies and glued values are bitwise
+those of the ramp evaluated everywhere.
 
 Barriers are radial competitors matching a prescribed boundary plateau:
 a tent that rises to M across the span between the interface sphere
@@ -253,6 +254,7 @@ def _scan_energies(
 def _glue_stage(
     inner_vals: np.ndarray,
     outer_vals: np.ndarray,
+    out: np.ndarray,
     radial: np.ndarray,
     domain: Domain,
     epsilon: float,
@@ -260,8 +262,8 @@ def _glue_stage(
     direction: str,
     profile: SlopedProfile,
     bound: float,
-) -> Tuple[np.ndarray, GlueStage]:
-    """One ramp composition across the annulus of spec.
+) -> GlueStage:
+    """One ramp composition across the annulus of spec, written into out.
 
     Each candidate radius r is scored by the ramp energy over the cells
     whose anchor lies in the open annulus and whose anchor ramp value lies
@@ -273,10 +275,11 @@ def _glue_stage(
     Every other cell adds (finite density) * weight * False, an exact
     +0.0, so it is left out of the scan.
 
-    The ramp at the chosen radius r* is evaluated within reach of r* only
-    and set to +/- infinity (its sign beyond the band) elsewhere: there
-    the true ramp lies beyond every state value, so min(outer, max(inner,
-    ramp)) picks the same state value either way.
+    The ramp at the chosen radius r* is evaluated within reach of r* only.
+    Elsewhere it lies beyond every state value, so the composition is the
+    outer state past r* and min (max) of the two states inside it, with
+    no ramp grid.  The band's states are gathered first: out may be
+    either input.
 
     ``glue`` passes bound = sup = max(|u|, |v|) to every stage rather than
     the exact largest |value| of each stage's states.  A first-stage
@@ -287,9 +290,9 @@ def _glue_stage(
     the ramp at +/- infinity: every output is bitwise unchanged.
     """
     if direction == "rising":
-        lo_v, hi_v = inner_vals, outer_vals
+        lo_v, hi_v, pick, clip = inner_vals, outer_vals, np.minimum, np.maximum
     else:
-        lo_v, hi_v = outer_vals, inner_vals
+        lo_v, hi_v, pick, clip = outer_vals, inner_vals, np.maximum, np.minimum
     reach = _ramp_reach(profile, bound, domain.h)
     radii = np.linspace(
         spec.rho + spec.delta / 8.0, spec.rho + spec.delta / 4.0, _SCAN_CANDIDATES
@@ -299,24 +302,24 @@ def _glue_stage(
     )
     best = int(np.argmin(energies))
     r_star = float(radii[best])
-    far = np.inf if direction == "rising" else -np.inf
-    ramp = np.subtract(radial, r_star)
-    near = np.abs(ramp, out=ramp) < reach
-    ramp.fill(-far)
-    ramp[radial > r_star] = far
-    ramp[near] = _ramp_values(radial[near], profile, r_star, direction)
-    if direction == "rising":
-        out = np.minimum(outer_vals, np.maximum(inner_vals, ramp, out=ramp), out=ramp)
-    else:
-        out = np.maximum(outer_vals, np.minimum(inner_vals, ramp, out=ramp), out=ramp)
-    stage = GlueStage(
+    # |radial - r*| < reach, tested within a prefilter twice as wide
+    flat_radial = radial.ravel()
+    near = radial > r_star - 2.0 * reach
+    band = np.flatnonzero(np.logical_and(near, radial < r_star + 2.0 * reach, out=near))
+    band = band[np.abs(flat_radial[band] - r_star) < reach]
+    inner_band, outer_band = inner_vals.ravel()[band], outer_vals.ravel()[band]
+    past = radial > r_star
+    np.copyto(out, outer_vals, where=past)
+    pick(outer_vals, inner_vals, out=out, where=np.logical_not(past, out=past))
+    ramp = _ramp_values(flat_radial[band], profile, r_star, direction)
+    out.ravel()[band] = pick(outer_band, clip(inner_band, ramp, out=ramp), out=ramp)
+    return GlueStage(
         direction=direction,
         r_star=r_star,
         annulus_energy=float(energies[best]),
         scan_radii=radii,
         scan_energies=energies,
     )
-    return out, stage
 
 
 def glue(
@@ -347,6 +350,12 @@ def glue(
         )
     if not (budget > 0):
         raise DomainError(f"budget must be positive, got {budget}")
+    # The parts read only the inputs: sum them while no composition exists.
+    inner_ball = _ball_region(domain, spec.rho)
+    parts = (
+        energy_mod.e_eps(inner_state, subdomain=inner_ball).total
+        + energy_mod.e_eps(outer_state, subdomain=Complement(_ball_region(domain, spec.outer_radius))).total
+    )
 
     u = outer_state.values
     v = inner_state.values
@@ -355,20 +364,21 @@ def glue(
     stages = []
     if ordered:
         profile = sloped_profile(epsilon, spec.theta)
-        out_vals, stage = _glue_stage(
-            v, u, radial, domain, epsilon, spec, "rising", profile, sup
+        out_vals = np.empty_like(u)
+        stages.append(
+            _glue_stage(v, u, out_vals, radial, domain, epsilon, spec, "rising", profile, sup)
         )
-        stages.append(stage)
     else:
         half = spec.delta / 2.0
         spec_outer = AnnulusSpec(spec.rho + half, half, spec.bound_m)
         spec_inner = AnnulusSpec(spec.rho, half, spec.bound_m)
         prof_half = sloped_profile(epsilon, spec_outer.theta)
-        out_vals, stage1 = _glue_stage(
-            np.minimum(u, v), u, radial, domain, epsilon, spec_outer, "rising", prof_half, sup
+        out_vals = np.minimum(u, v)
+        stage1 = _glue_stage(
+            out_vals, u, out_vals, radial, domain, epsilon, spec_outer, "rising", prof_half, sup
         )
-        out_vals, stage2 = _glue_stage(
-            v, out_vals, radial, domain, epsilon, spec_inner, "falling", prof_half, sup
+        stage2 = _glue_stage(
+            v, out_vals, out_vals, radial, domain, epsilon, spec_inner, "falling", prof_half, sup
         )
         stages.extend([stage1, stage2])
 
@@ -387,11 +397,6 @@ def glue(
     )
     out_vals = out_state.values  # the state holds a copy; free the composition
     total = energy_mod.e_eps(out_state)
-    inner_ball = _ball_region(domain, spec.rho)
-    parts = (
-        energy_mod.e_eps(inner_state, subdomain=inner_ball).total
-        + energy_mod.e_eps(outer_state, subdomain=Complement(_ball_region(domain, spec.outer_radius))).total
-    )
     excess = total.total - parts
     if excess > budget * (1.0 + _BUDGET_SLACK) + 1e-12:
         raise BudgetExceededError(

@@ -451,7 +451,11 @@ _BAND_CASES = {
 def test_glue_band_limited_equals_full_grid_bitwise(name):
     inner, outer = _band_case(name)
     spec = pp.AnnulusSpec(0.6, 0.2, inner.bound_m)
+    inner_bytes, outer_bytes = inner.values.tobytes(), outer.values.tobytes()
     out, report = pp.glue(inner, outer, spec, budget=1e6)
+    # each stage composes into a buffer glue owns, never into an input
+    assert inner.values.tobytes() == inner_bytes
+    assert outer.values.tobytes() == outer_bytes
     ref_out, ref_stages, ref_gaps = full_grid_glue(inner, outer, spec)
     assert [bool(np.max(e) > 0.0) for e, _ in ref_stages] == _BAND_CASES[name]
     assert len(report.stages) == len(ref_stages)

@@ -21,15 +21,16 @@ from perimeter_phase import cli, fieldio, geometry, interpolation, potential
 N = 256
 EPS = 1e-2
 
-# Measured: 2.0008, 1.9960, 1.9960, 2.6895, 3.7904, 3.6205, 3.2539, 1.2520,
+# Measured: 2.0008, 1.9960, 1.9960, 2.6895, 3.7918, 2.6271, 3.2539, 1.2520,
 # 1.2520, 1.9861, 2.0078, 4.7807, 0.0222, 1.4183, 1.4931, 2.4861, 1.4931,
 # 1.2471.  A full-grid sum holds its array of summands and row blocks of
 # 2^14 entries (a quarter of a grid array at n = 256, a sixteenth at
 # n = 512); a subdomain energy also holds its cell fractions.  A two-stage
-# glue peaks in its scans, a saturated glue, which scans no cell, in the
-# energies of its two parts, about 0.2 grid arrays lower.  A disc's
-# distances are one grid array plus numpy's fixed-size ufunc buffers (a
-# quarter of a grid array at n = 256); recovery holds the input field, its
+# glue is scan-bound: it peaks in its scans.  A saturated glue scans no
+# cell, sums its two parts before it composes and composes each stage into
+# one buffer, so it peaks in the glued state's energy, a grid array lower.
+# A disc's distances are one grid array plus numpy's fixed-size ufunc buffers
+# (a quarter of a grid array at n = 256); recovery holds the input field, its
 # node distances and one scale's build; save_binary writes a little-endian
 # float64 field without a copy; marching squares holds its result, one byte
 # per cell for the case codes and the cut flags, and arrays over the cut
@@ -44,7 +45,7 @@ LIMITS = {
     "modica_mortola_split": 2.0,
     "build_recovery": 2.7,
     "glue_two_stage": 3.8,
-    "glue_saturated": 3.7,
+    "glue_saturated": 2.7,
     "build_barrier": 3.3,
     "disc_signed_distance": 1.3,
     "rasterize_disc": 1.3,
