@@ -312,7 +312,7 @@ def _glue_stage(
     np.copyto(out, outer_vals, where=past)
     pick(outer_vals, inner_vals, out=out, where=np.logical_not(past, out=past))
     ramp = _ramp_values(flat_radial[band], profile, r_star, direction)
-    out.ravel()[band] = pick(outer_band, clip(inner_band, ramp, out=ramp), out=ramp)
+    np.put(out, band, pick(outer_band, clip(inner_band, ramp, out=ramp), out=ramp))
     return GlueStage(
         direction=direction,
         r_star=r_star,

@@ -468,6 +468,22 @@ def test_glue_band_limited_equals_full_grid_bitwise(name):
     assert (report.l2_gap_outside, report.phase_l1_gap_outside) == ref_gaps
 
 
+@pytest.mark.parametrize("name", ["ordered_ball", "two_stage_ball", "discs_0.7"])
+def test_glue_of_fortran_ordered_states_is_bitwise_the_same(name):
+    # the band is scattered back by flat index, which must reach the
+    # buffer itself whatever its memory layout
+    inner, outer = _band_case(name)
+    spec = pp.AnnulusSpec(0.6, 0.2, inner.bound_m)
+    ref, _ = pp.glue(inner, outer, spec, budget=1e6)
+    f_inner, f_outer = _profile_states(
+        inner.domain, inner.epsilon, np.asfortranarray(inner.values), np.asfortranarray(outer.values),
+        inner.bound_m,
+    )
+    assert not f_outer.values.flags.c_contiguous
+    out, _ = pp.glue(f_inner, f_outer, spec, budget=1e6)
+    assert out.values.tobytes() == ref.values.tobytes()
+
+
 @pytest.mark.parametrize("name", ["saturated", "discs_0.25"])
 def test_glue_evaluates_no_ramp_where_the_states_agree(name, monkeypatch):
     # Saturated states agree across the annulus, so no cell is open for
