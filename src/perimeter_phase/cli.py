@@ -84,15 +84,10 @@ def _map_chunks(fn: Callable, items: Sequence) -> list:
     if chunks == 0:
         return []
     bounds = [len(items) * i // chunks for i in range(chunks + 1)]
-
-    def run(lo: int, hi: int) -> list:
-        return [fn(x) for x in items[lo:hi]]
-
     with ThreadPoolExecutor(max_workers=chunks) as pool:
-        futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        # A chunk stops at its first failing item, and result() raises the
-        # first failing chunk's exception: the first failing item's.
-        return [y for future in futures for y in future.result()]
+        # Chunks stop at their first failure, and map yields them in order.
+        runs = pool.map(lambda lo, hi: [fn(x) for x in items[lo:hi]], bounds, bounds[1:])
+        return [y for run in runs for y in run]
 
 
 def _keep_freed_heap() -> None:
@@ -243,13 +238,15 @@ def _epsilons(key, eps, violations):
 
 
 def _boundary(key, bnd, violations):
-    ends = (bnd.get("left"), bnd.get("right")) if isinstance(bnd, dict) else (None, None)
+    bnd = bnd if isinstance(bnd, dict) else {}
+    violations += [f"unknown key {k!r} for {key}" for k in bnd if k not in ("left", "right")]
+    ends = (bnd.get("left"), bnd.get("right"))
     if not _finite(*ends):
         violations.append(f"{key} must be an object with numbers left and right")
     elif not ends[0] < 0.0 < ends[1]:
         violations.append(f"{key} values must straddle zero, got left={ends[0]}, right={ends[1]}")
     else:
-        return dict(bnd, left=float(ends[0]), right=float(ends[1]))
+        return {"left": float(ends[0]), "right": float(ends[1])}
 
 
 _POSITIVE = _Rule(_number(positive=True))

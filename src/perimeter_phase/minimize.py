@@ -28,7 +28,8 @@ field's boundary values.  On intervals and boxes, whose boundary is the
 array edge, discrete sine transforms diagonalise the stencil and solve it
 exactly with numpy's FFT; on balls, conjugate gradients preconditioned
 by that solve do.  A sine-transform solve allocates one zero-padded
-buffer, which its 2 dim passes share, and holds one spectrum at a time.
+buffer, which its 2 dim passes share, and holds one spectrum at a time;
+CG adds x, r, the padded direction p and one z, freed before each solve.
 The descent and the solve share one stencil, _laplacian, the exact first
 variation of the discrete Dirichlet sum, so the replacement is that sum's
 unique minimizer among fields with those boundary values, and the
@@ -263,27 +264,28 @@ def _ball_laplace_solve(rhs: np.ndarray, free: np.ndarray) -> np.ndarray:
     a principal block of the box's inverse (Concus & Golub 1973).  Stops
     at residual 1e-12 of rhs, when r.z is not positive (zero data gives
     zeros) or after one step per free node.  Dots are numpy sums, which
-    do not depend on BLAS threads.
+    do not depend on BLAS threads.  p, from 0, is the inner block of the
+    buffer the stencil reads; z takes A p, then is freed before each solve.
     """
     keep = free.astype(float)
     padded = np.zeros(tuple(s + 2 for s in rhs.shape))
-    x, q, r = np.zeros(rhs.shape), np.empty(rhs.shape), rhs * keep
-    z = _spectral_laplace_solve(r) * keep
-    p = z.copy()
-    rz, stop = float(np.sum(r * z)), 1e-12 * math.sqrt(np.sum(r * r))
+    p = padded[1:-1, 1:-1]
+    x, r = np.zeros(rhs.shape), rhs * keep
+    rz, stop = 1.0, 1e-12 * math.sqrt(np.sum(r * r))
     for _ in range(np.count_nonzero(free)):
+        z = _spectral_laplace_solve(r) * keep
+        rz, previous = float(np.sum(r * z)), rz
         if not rz > 0.0 or math.sqrt(np.sum(r * r)) <= stop:
             break
-        padded[1:-1, 1:-1] = p
+        p *= rz / previous
+        p += z
+        q = z  # z is spent: its buffer takes A p
         _laplacian(padded, q)
         q *= -keep
         alpha = rz / float(np.sum(p * q))
         x += alpha * p
         r -= alpha * q
-        z = _spectral_laplace_solve(r) * keep
-        rz, previous = float(np.sum(r * z)), rz
-        p *= rz / previous
-        p += z
+        del z, q
     return x
 
 

@@ -551,6 +551,24 @@ def test_minimize_step_is_an_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "minimized.f64").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, payload, output",
+    [
+        ("sweep", {"domain": INTERVAL, "epsilons": [1e-1], "bound_m": 1.0}, "sweep.csv"),
+        ("minimize", {"domain": INTERVAL, "epsilon": 1e-1, "max_iters": 0}, "minimized.f64"),
+    ],
+    ids=["sweep", "minimize"],
+)
+def test_misspelt_boundary_key_is_a_config_error(tmp_path, capsys, kind, payload, output):
+    # A misspelt key was carried into the config and never read.
+    payload = dict(payload, boundary={"left": -1, "right": 1, "rigth": 3})
+    assert run(tmp_path, kind, payload) == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert "unknown key 'rigth' for boundary" in err
+    assert not (tmp_path / output).exists()
+
+
 @pytest.mark.parametrize("center", [5, None, [0.1], [0.0, 0.0, 7]])
 def test_malformed_ball_center_is_a_config_error(tmp_path, capsys, center):
     payload = {

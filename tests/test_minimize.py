@@ -1,5 +1,6 @@
 """Projected descent, harmonic replacement, and the 1D sharp oracle."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -475,6 +476,105 @@ def test_ball_harmonic_replacement_matches_independent_direct_solve(n, radius, c
     assert replaced.values[~interior].tobytes() == vals[~interior].tobytes()
     expected = _independent_harmonic_interior(domain, vals)
     np.testing.assert_allclose(replaced.values[interior], expected, rtol=0.0, atol=1e-10)
+
+
+def _reference_ball_laplace_solve(rhs, free):
+    """The ball CG with its own direction array, copied into a zero-padded
+    buffer before each stencil, and its first z formed before the loop."""
+    keep = free.astype(float)
+    padded = np.zeros(tuple(s + 2 for s in rhs.shape))
+    x, q, r = np.zeros(rhs.shape), np.empty(rhs.shape), rhs * keep
+    z = minimize._spectral_laplace_solve(r) * keep
+    p = z.copy()
+    rz, stop = float(np.sum(r * z)), 1e-12 * math.sqrt(np.sum(r * r))
+    for _ in range(np.count_nonzero(free)):
+        if not rz > 0.0 or math.sqrt(np.sum(r * r)) <= stop:
+            break
+        padded[1:-1, 1:-1] = p
+        minimize._laplacian(padded, q)
+        q *= -keep
+        alpha = rz / float(np.sum(p * q))
+        x += alpha * p
+        r -= alpha * q
+        z = minimize._spectral_laplace_solve(r) * keep
+        rz, previous = float(np.sum(r * z)), rz
+        p *= rz / previous
+        p += z
+    return x
+
+
+def _ball_field(dom, kind):
+    if kind == "positive":
+        return random_positive_field(dom, np.random.Generator(np.random.Philox(dom.n)), 0.1)
+    if kind == "zero":
+        return pp.ScalarField(dom, np.zeros(dom.node_shape))
+    # A recovered disc that crosses the ball's boundary, so the data change sign.
+    cx, cy = dom.center
+    disc = pp.Disc((cx + 0.5, cy), 0.7)
+    pair = pp.SharpPair(pp.ScalarField(dom, np.zeros(dom.node_shape)), region=disc)
+    return pp.build_recovery(pair, 2e-2)[0].field
+
+
+@pytest.mark.parametrize("kind", ["positive", "recovered_disc", "zero"])
+@pytest.mark.parametrize(
+    "n, center",
+    [(24, (0.0, 0.0)), (64, (0.0, 0.0)), (98, (0.0, 0.0)), (98, (0.1, 0.2)), (256, (0.0, 0.0))],
+    ids=["ball24", "ball64", "ball98", "ball98_off_centre", "ball256"],
+)
+def test_ball_replacement_is_bitwise_the_reference_cg(monkeypatch, n, center, kind):
+    field = _ball_field(pp.Domain.ball(1.0, n, center), kind)
+    got = pp.harmonic_replacement(field).values
+    monkeypatch.setattr(minimize, "_ball_laplace_solve", _reference_ball_laplace_solve)
+    assert got.tobytes() == pp.harmonic_replacement(field).values.tobytes()
+
+
+def _layouts(values):
+    """values in C order, in Fortran order, and as an every-other-element view."""
+    spread = np.full(tuple(2 * s for s in values.shape), np.nan)
+    spread[::2, ::2] = values
+    return {"C": values, "F": np.asfortranarray(values), "strided": spread[::2, ::2]}
+
+
+def _bits(result):
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    floats = dataclasses.astuple(result) if dataclasses.is_dataclass(result) else (result,)
+    return np.array(floats, dtype=float).tobytes()
+
+
+def _layout_results(domain, values, epsilon):
+    field = pp.ScalarField(domain, values)
+    # ScalarField copies in order K, which makes a strided view C-contiguous;
+    # the kernels get the view itself.
+    field.values = values
+    state = pp.PhaseState(field, epsilon, 1.0)
+    descent = pp.minimize_e_eps(state, pp.MinimizeConfig(max_iters=30, tol_grad=1e-12))
+    results = {
+        "e_eps": pp.e_eps(state),
+        "tv_phase": pp.tv_phase(state),
+        "modica_mortola_split": pp.modica_mortola_split(state),
+        "interface_length": pp.interface_length(values, domain),
+        "interface_length_mask": pp.interface_length(values >= 0.0, domain),
+        "energy_gradient": pp.energy_gradient(values, domain, epsilon),
+        "harmonic_replacement": pp.harmonic_replacement(field).values,
+        "descent_state": descent.state.values,
+        "descent_energies": descent.energies,
+        "sharp_energy": pp.sharp_energy(pp.extract_sharp_limit(state)),
+    }
+    return {name: _bits(result) for name, result in results.items()}
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["box", "ball"]), seed=st.integers(0, 2**32 - 1))
+def test_memory_layout_leaves_every_result_bitwise_unchanged(kind, seed):
+    domain = pp.Domain.box(-1.0, 1.0, 64) if kind == "box" else pp.Domain.ball(1.0, 64)
+    rng = np.random.default_rng(seed)
+    values = np.clip(rng.normal(0.0, 0.5, domain.node_shape), -1.0, 1.0)
+    values[rng.random(domain.node_shape) < 0.1] = -0.0
+    runs = {name: _layout_results(domain, v, 2e-2) for name, v in _layouts(values).items()}
+    for name in ("F", "strided"):
+        for key, expected in runs["C"].items():
+            assert runs[name][key] == expected, (name, key)
 
 
 def _plain_neighbour_sum(values):
