@@ -69,7 +69,6 @@ from .interpolation import (
     glue,
 )
 from .minimize import (
-    MinimizeConfig,
     MinimizeResult,
     OracleResult1D,
     SweepEntry,

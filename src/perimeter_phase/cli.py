@@ -252,8 +252,8 @@ def _boundary(key, bnd, violations):
 _POSITIVE = _Rule(_number(positive=True))
 _BOUND_M = _Rule(_number(positive=True), 1.0)
 _KAPPA = _Rule(_kappa, 0.1)
-_TOL_GRAD = _Rule(_number(positive=True), minimize.MinimizeConfig.tol_grad)
-_MAX_ITERS = _Rule(_integer(0), minimize.MinimizeConfig.max_iters)
+_TOL_GRAD = _Rule(_number(positive=True), minimize._TOL_GRAD)
+_MAX_ITERS = _Rule(_integer(0), minimize._MAX_ITERS)
 
 # Keys are checked in table order.
 _TABLES: Dict[str, Dict[str, _Rule]] = {
@@ -466,13 +466,10 @@ def _run_glue(cfg: dict, out_dir: str) -> List[str]:
     v_field = fieldio.load_field(cfg["v_field"])
     epsilon = cfg["epsilon"]
     bound_m = cfg["bound_m"]
-    outer = PhaseState(u_field, epsilon, bound_m)
-    inner = PhaseState(v_field, epsilon, bound_m)
-    spec = interpolation.AnnulusSpec(cfg["rho"], cfg["delta"], bound_m)
     out_state, report = interpolation.glue(
-        inner_state=inner,
-        outer_state=outer,
-        spec=spec,
+        outer_state=PhaseState(u_field, epsilon, bound_m),
+        inner_state=PhaseState(v_field, epsilon, bound_m),
+        spec=interpolation.AnnulusSpec(cfg["rho"], cfg["delta"]),
         budget=cfg["gamma"],
     )
     dump = os.path.join(out_dir, "glued.f64")
@@ -544,13 +541,9 @@ def _initial_state(cfg: dict) -> PhaseState:
 
 
 def _run_minimize(cfg: dict, out_dir: str) -> List[str]:
-    state = _initial_state(cfg)
-    config = minimize.MinimizeConfig(
-        bound_m=state.bound_m,
-        max_iters=cfg["max_iters"],
-        tol_grad=cfg["tol_grad"],
+    result = minimize.minimize_e_eps(
+        _initial_state(cfg), max_iters=cfg["max_iters"], tol_grad=cfg["tol_grad"]
     )
-    result = minimize.minimize_e_eps(state, config)
     breakdown = energy_mod.e_eps(result.state)
     dump = os.path.join(out_dir, "minimized.f64")
     fieldio.save_binary(result.state.field, dump)

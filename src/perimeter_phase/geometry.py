@@ -174,15 +174,13 @@ def _build_grid(domain: Domain) -> dict:
     """The derived grid attributes of a domain; its arrays are read-only."""
     n = domain.n
     dim = 1 if domain.kind == "interval" else 2
+    # A ball's lo and hi are -R and R, so its axes start at c - R.
+    h = (domain.hi - domain.lo) / n
     if domain.kind == "ball":
-        cx, cy = domain.center
-        xs = cx - domain.radius + (2.0 * domain.radius / n) * np.arange(n + 1)
-        ys = cy - domain.radius + (2.0 * domain.radius / n) * np.arange(n + 1)
-        h = 2.0 * domain.radius / n
+        origins = [c - domain.radius for c in domain.center]
     else:
-        xs = domain.lo + ((domain.hi - domain.lo) / n) * np.arange(n + 1)
-        ys = xs
-        h = (domain.hi - domain.lo) / n
+        origins = [domain.lo, domain.lo]
+    xs, ys = (origin + h * np.arange(n + 1) for origin in origins)
 
     if dim == 1:
         node_shape = (n + 1,)

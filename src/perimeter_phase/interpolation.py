@@ -1,14 +1,15 @@
 """Gluing states across an annulus, and barrier competitors.
 
-Gluing joins an inner state v and an outer state u across the annulus
-rho < |x| < rho + delta with a steep radial ramp: a sloped profile of
-|x| - r with tail slope theta = 16 M / delta.  The profile's slope is at
-least theta everywhere and its value at 0 is 0, so within an eighth of
-the annulus width it reaches theta * delta / 8 = 2 M >= M: the ramp
-saturates to +/- M there for every eps, delta and M.  When u >= v
-everywhere a single composition min(u, max(v, ramp)) suffices; otherwise
-the join runs in two stages through the pointwise minimum, each on half
-the annulus.  The ramp radius r is chosen from a scan of candidates in
+Gluing joins an inner state v and an outer state u, which share one
+amplitude bound M, across the annulus rho < |x| < rho + delta with a
+steep radial ramp: a sloped profile of |x| - r with tail slope
+theta = 16 M / delta.  The profile's slope is at least theta everywhere
+and its value at 0 is 0, so within an eighth of the annulus width it
+reaches theta * delta / 8 = 2 M >= M: the ramp saturates to +/- M there
+for every eps, delta and M.  When u >= v everywhere a single composition
+min(u, max(v, ramp)) suffices; otherwise the join runs in two stages
+through the pointwise minimum, each on half the annulus with the ramp
+of that width.  The ramp radius r is chosen from a scan of candidates in
 [rho + delta/8, rho + delta/4] minimizing the ramp energy on the set
 where the ramp lies strictly between the two states; the glued energy
 then exceeds the two restricted energies by at most that amount, and the
@@ -70,20 +71,12 @@ class AnnulusSpec:
 
     rho: float
     delta: float
-    bound_m: float
 
     def __post_init__(self):
         if not (self.rho > 0):
             raise DomainError(f"rho must be positive, got {self.rho}")
         if not (self.delta > 0):
             raise DomainError(f"delta must be positive, got {self.delta}")
-        if not (self.bound_m > 0):
-            raise DomainError(f"bound_m must be positive, got {self.bound_m}")
-
-    @property
-    def theta(self) -> float:
-        """Ramp steepness: saturation within delta/8 needs 16 M / delta."""
-        return 16.0 * self.bound_m / self.delta
 
     @property
     def outer_radius(self) -> float:
@@ -142,6 +135,12 @@ def _check_glue_domain(domain: Domain, spec: AnnulusSpec) -> None:
                 f"ball radius {domain.radius} does not contain the annulus "
                 f"out to radius {outer}"
             )
+
+
+def _ramp_profile(epsilon: float, bound_m: float, width: float) -> SlopedProfile:
+    """The ramp across an annulus of this width: saturation to +/- M within
+    width / 8 needs the tail slope theta = 16 M / width."""
+    return sloped_profile(epsilon, 16.0 * bound_m / width)
 
 
 def _ramp_values(radial: np.ndarray, profile: SlopedProfile, r: float, direction: str):
@@ -330,8 +329,10 @@ def glue(
 ) -> Tuple[PhaseState, GlueReport]:
     """Join inner and outer states across the annulus within the budget.
 
-    The output equals the inner state on the closed ball of radius rho
-    (node for node) and the outer state outside the open ball of radius
+    Both states must share their grid, epsilon and amplitude bound M; the
+    ramps saturate to +/- M, and the output state has that M.  The output
+    equals the inner state on the closed ball of radius rho (node for
+    node) and the outer state outside the open ball of radius
     rho + delta, and its total energy exceeds the sum of the two
     restricted energies by at most the budget; a larger overshoot raises
     BudgetExceededError carrying the overshoot beyond the budget.
@@ -340,14 +341,15 @@ def glue(
         raise DomainError("glue needs both states on the same grid")
     if inner_state.epsilon != outer_state.epsilon:
         raise DomainError("glue needs both states at the same epsilon")
+    if inner_state.bound_m != outer_state.bound_m:
+        raise DomainError("glue needs both states under the same amplitude bound M")
     domain = inner_state.domain
     epsilon = inner_state.epsilon
+    bound_m = inner_state.bound_m
     _check_glue_domain(domain, spec)
     sup = max(energy_mod._sup_abs(inner_state.values), energy_mod._sup_abs(outer_state.values))
-    if sup > spec.bound_m + 1e-12:
-        raise DomainError(
-            f"states exceed the annulus amplitude bound {spec.bound_m}: sup = {sup}"
-        )
+    if sup > bound_m + 1e-12:
+        raise DomainError(f"states exceed their amplitude bound {bound_m}: sup = {sup}")
     if not (budget > 0):
         raise DomainError(f"budget must be positive, got {budget}")
     # The parts read only the inputs: sum them while no composition exists.
@@ -361,26 +363,26 @@ def glue(
     v = inner_state.values
     radial = _radial_nodes(domain)
     ordered = bool(np.all(u >= v))
-    stages = []
+    # One stage across the annulus, or two across its halves, outer first.
+    width = spec.delta if ordered else spec.delta / 2.0
+    profile = _ramp_profile(epsilon, bound_m, width)
     if ordered:
-        profile = sloped_profile(epsilon, spec.theta)
         out_vals = np.empty_like(u)
-        stages.append(
+        stages = [
             _glue_stage(v, u, out_vals, radial, domain, epsilon, spec, "rising", profile, sup)
-        )
+        ]
     else:
-        half = spec.delta / 2.0
-        spec_outer = AnnulusSpec(spec.rho + half, half, spec.bound_m)
-        spec_inner = AnnulusSpec(spec.rho, half, spec.bound_m)
-        prof_half = sloped_profile(epsilon, spec_outer.theta)
         out_vals = np.minimum(u, v)
-        stage1 = _glue_stage(
-            out_vals, u, out_vals, radial, domain, epsilon, spec_outer, "rising", prof_half, sup
-        )
-        stage2 = _glue_stage(
-            v, out_vals, out_vals, radial, domain, epsilon, spec_inner, "falling", prof_half, sup
-        )
-        stages.extend([stage1, stage2])
+        stages = [
+            _glue_stage(
+                out_vals, u, out_vals, radial, domain, epsilon,
+                AnnulusSpec(spec.rho + width, width), "rising", profile, sup,
+            ),
+            _glue_stage(
+                v, out_vals, out_vals, radial, domain, epsilon,
+                AnnulusSpec(spec.rho, width), "falling", profile, sup,
+            ),
+        ]
 
     inner_zone = radial <= spec.rho
     outer_zone = radial >= spec.outer_radius
@@ -393,7 +395,7 @@ def glue(
     del inner_zone, outer_zone
 
     out_state = PhaseState(
-        field=ScalarField(domain, out_vals), epsilon=epsilon, bound_m=spec.bound_m
+        field=ScalarField(domain, out_vals), epsilon=epsilon, bound_m=bound_m
     )
     out_vals = out_state.values  # the state holds a copy; free the composition
     total = energy_mod.e_eps(out_state)

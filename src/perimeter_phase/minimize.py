@@ -7,11 +7,13 @@ the discrete energy at interior nodes is
 
 which is exact for the forward-difference energy with anchor-node well
 sampling on full-weight cells (not next to the cut cells of a ball).
-Steps are clipped to the amplitude box [-M, M], boundary nodes stay
-pinned, and a halving line search from the explicit stability step
-0.9 h^2 / (4 dim) keeps the energy log, one entry per iterate,
-non-increasing.  Stationarity is measured by the sup norm of the
-projected gradient u - clip(u - g, -M, M).  A step works in place in
+Steps are clipped to the amplitude box [-M, M] of the initial state's
+bound M, which the result state keeps; boundary nodes stay pinned, and
+a halving line search from the explicit stability step 0.9 h^2 / (4 dim)
+keeps the energy log, one entry per iterate, non-increasing.
+Stationarity is measured by the sup norm of the projected gradient
+u - clip(u - g, -M, M), and the descent stops once it is at most
+tol_grad or after max_iters steps.  A step works in place in
 buffers allocated once per descent, in C order, and keeps the order of
 the floating-point operations up to power-of-two rescalings and sign
 flips, so iterates and logs are bitwise those of the plain out-of-place
@@ -55,21 +57,9 @@ from .errors import DomainError, NumericError
 from .geometry import Domain
 
 _MAX_HALVINGS = 30
-
-
-@dataclass
-class MinimizeConfig:
-    bound_m: float = 1.0
-    max_iters: int = 200000
-    tol_grad: float = 1e-5
-
-    def __post_init__(self):
-        if not (self.bound_m > 0):
-            raise DomainError(f"bound_m must be positive, got {self.bound_m}")
-        if self.max_iters < 0:
-            raise DomainError(f"max_iters must be nonnegative, got {self.max_iters}")
-        if not (self.tol_grad > 0):
-            raise DomainError(f"tol_grad must be positive, got {self.tol_grad}")
+# The descent's default stop rule; the CLI's key table reads it too.
+_MAX_ITERS = 200000
+_TOL_GRAD = 1e-5
 
 
 @dataclass
@@ -140,17 +130,25 @@ def _project(values: np.ndarray, bound_m: float, flat, pinned) -> None:
     values.put(flat, pinned)
 
 
-def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResult:
-    """Projected descent from the initial state at its epsilon.
+def minimize_e_eps(
+    initial: PhaseState, *, max_iters: int = _MAX_ITERS, tol_grad: float = _TOL_GRAD
+) -> MinimizeResult:
+    """Projected descent from the initial state at its epsilon and bound M.
 
-    Boundary nodes keep the initial state's values.  The recorded energy
-    log is non-increasing; failure to decrease after 30 step halvings at
-    a non-stationary point raises NumericError.
+    Boundary nodes keep the initial state's values, and the result state
+    has the initial state's M.  The descent stops once the projected
+    gradient sup is at most tol_grad, or after max_iters steps.  The
+    recorded energy log is non-increasing; failure to decrease after 30
+    step halvings at a non-stationary point raises NumericError.
     """
+    if max_iters < 0:
+        raise DomainError(f"max_iters must be nonnegative, got {max_iters}")
+    if not (tol_grad > 0):
+        raise DomainError(f"tol_grad must be positive, got {tol_grad}")
     domain = initial.domain
     epsilon = initial.epsilon
     root_eps = math.sqrt(epsilon)
-    bound_m = config.bound_m
+    bound_m = initial.bound_m
     flat = np.flatnonzero(domain.boundary_mask)
     pinned = initial.values.ravel()[flat]
 
@@ -180,14 +178,14 @@ def minimize_e_eps(initial: PhaseState, config: MinimizeConfig) -> MinimizeResul
     energies = [current]
     # Each pass measures stationarity at the current iterate, whose index
     # is the number of steps taken; the last pass only measures.
-    for iterations in range(config.max_iters + 1):
+    for iterations in range(max_iters + 1):
         energy_gradient(u, domain, epsilon, out=g, well_prime=prime_u)
         np.subtract(u, g, trial)
         _project(trial, bound_m, flat, pinned)
         np.subtract(u, trial, trial)
         grad_sup = float(np.max(np.abs(trial, trial)))
-        converged = grad_sup <= config.tol_grad
-        if converged or iterations == config.max_iters:
+        converged = grad_sup <= tol_grad
+        if converged or iterations == max_iters:
             break
         step = base_step
         for _ in range(_MAX_HALVINGS + 1):
@@ -401,8 +399,8 @@ def continuation_sweep(
     left_value: float,
     right_value: float,
     bound_m: float,
-    tol_grad: float = MinimizeConfig.tol_grad,
-    max_iters: int = MinimizeConfig.max_iters,
+    tol_grad: float = _TOL_GRAD,
+    max_iters: int = _MAX_ITERS,
 ) -> List[SweepEntry]:
     """Descend at each scale in turn, warm-starting from the previous one.
 
@@ -428,10 +426,13 @@ def continuation_sweep(
     entries: List[SweepEntry] = []
     oracle_vals = oracle.value(x)
     sign_ref = np.where(x >= oracle.interface, 1.0, -1.0)
-    config = MinimizeConfig(bound_m=bound_m, max_iters=max_iters, tol_grad=tol_grad)
     for e in eps:
         # ScalarField copies values, and the descent copies the field.
-        result = minimize_e_eps(PhaseState(ScalarField(domain, values), e, bound_m), config)
+        result = minimize_e_eps(
+            PhaseState(ScalarField(domain, values), e, bound_m),
+            max_iters=max_iters,
+            tol_grad=tol_grad,
+        )
         current = result.state
         values = current.values
         breakdown = energy_mod.e_eps(current)

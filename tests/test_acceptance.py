@@ -250,7 +250,7 @@ def test_criterion_09_glue_contract():
     )
     u_state, _ = pp.build_recovery(pair_u, eps)
     v_state, _ = pp.build_recovery(pair_v, eps)
-    spec = pp.AnnulusSpec(0.6, 0.2, bound_m)
+    spec = pp.AnnulusSpec(0.6, 0.2)
     out_state, report = pp.glue(
         inner_state=v_state, outer_state=u_state, spec=spec, budget=gamma
     )

@@ -61,6 +61,9 @@ def test_phase_state_validation():
     assert state.bound_m == 2.0
     with pytest.raises(DomainError):
         pp.PhaseState(field, -1e-2, 2.0)
+    zeros = pp.ScalarField(dom, np.zeros(dom.node_shape))
+    with pytest.raises(DomainError, match="bound_m must be positive, got 0.0"):
+        pp.PhaseState(zeros, 1e-2, 0.0)
 
 
 def test_sharp_pair_validation():

@@ -20,13 +20,15 @@ def radial(domain):
 
 
 def test_annulus_spec_derived_quantities():
-    spec = pp.AnnulusSpec(0.6, 0.2, 1.0)
-    assert spec.theta == pytest.approx(16.0 * 1.0 / 0.2, rel=1e-14)
+    spec = pp.AnnulusSpec(0.6, 0.2)
+    assert interpolation._ramp_profile(1e-2, 2.0, spec.delta).theta == pytest.approx(
+        16.0 * 2.0 / 0.2, rel=1e-14
+    )
     assert spec.outer_radius == pytest.approx(0.8, rel=1e-14)
     with pytest.raises(DomainError):
-        pp.AnnulusSpec(-0.1, 0.2, 1.0)
+        pp.AnnulusSpec(-0.1, 0.2)
     with pytest.raises(DomainError):
-        pp.AnnulusSpec(0.6, 0.0, 1.0)
+        pp.AnnulusSpec(0.6, 0.0)
 
 
 def test_glue_identical_states_is_idempotent():
@@ -34,7 +36,7 @@ def test_glue_identical_states_is_idempotent():
     eps = 1e-2
     vals = pp.transition_profile(eps, 0.4 - radial(dom))
     state = pp.PhaseState(pp.ScalarField(dom, vals), eps, 1.0)
-    out, report = pp.glue(state, state, pp.AnnulusSpec(0.6, 0.2, 1.0), budget=0.1)
+    out, report = pp.glue(state, state, pp.AnnulusSpec(0.6, 0.2), budget=0.1)
     assert np.array_equal(out.values, state.values)
     assert report.excess <= 1e-12
     assert report.l2_gap_outside == 0.0
@@ -49,7 +51,7 @@ def test_glue_exact_zones_and_ordering():
     v_vals = pp.transition_profile(eps, 0.25 - r)
     outer = pp.PhaseState(pp.ScalarField(dom, u_vals), eps, 1.0)
     inner = pp.PhaseState(pp.ScalarField(dom, v_vals), eps, 1.0)
-    spec = pp.AnnulusSpec(0.6, 0.2, 1.0)
+    spec = pp.AnnulusSpec(0.6, 0.2)
     out, report = pp.glue(inner, outer, spec, budget=0.5)
     assert len(report.stages) == 1
     assert report.stages[0].direction == "rising"
@@ -72,7 +74,7 @@ def test_glue_constant_states_1d_ramp():
     ones = np.ones(dom.node_shape)
     outer = pp.PhaseState(pp.ScalarField(dom, ones.copy()), eps, 1.0)
     inner = pp.PhaseState(pp.ScalarField(dom, -ones.copy()), eps, 1.0)
-    spec = pp.AnnulusSpec(0.6, 0.2, 1.0)
+    spec = pp.AnnulusSpec(0.6, 0.2)
     out, report = pp.glue(inner, outer, spec, budget=400.0)
     assert [s.direction for s in report.stages] == ["rising"]
     # frozen from a direct evaluation; about 2 ramps of 2 theta M each
@@ -95,7 +97,7 @@ def test_glue_budget_exceeded():
     outer = pp.PhaseState(pp.ScalarField(dom, ones.copy()), eps, 1.0)
     inner = pp.PhaseState(pp.ScalarField(dom, -ones.copy()), eps, 1.0)
     with pytest.raises(BudgetExceededError) as err:
-        pp.glue(inner, outer, pp.AnnulusSpec(0.6, 0.2, 1.0), budget=1.0)
+        pp.glue(inner, outer, pp.AnnulusSpec(0.6, 0.2), budget=1.0)
     assert err.value.excess == pytest.approx(318.437237, abs=1e-4)
 
 
@@ -109,7 +111,7 @@ def test_glue_ramp_saturates_within_an_eighth_of_the_annulus(epsilon, delta, bou
     # The ramp's slope is at least its tail slope theta = 16 M / delta
     # everywhere and its value at 0 is 0, so at delta / 8 it has reached
     # theta * delta / 8 = 2 M >= M, whatever eps, delta and M.
-    prof = pp.sloped_profile(epsilon, pp.AnnulusSpec(1.0, delta, bound_m).theta)
+    prof = interpolation._ramp_profile(epsilon, bound_m, delta)
     s = np.linspace(0.0, delta / 8.0, 257)
     assert np.all(prof.derivative(s) >= prof.tail_slope)
     assert prof.value(delta / 8.0) >= bound_m
@@ -129,7 +131,7 @@ def test_glue_two_stage_for_unordered_states():
     v, _ = pp.build_recovery(pair_b, eps)
     assert not np.all(u.values >= v.values)
     assert not np.all(v.values >= u.values)
-    spec = pp.AnnulusSpec(0.6, 0.2, 1.0)
+    spec = pp.AnnulusSpec(0.6, 0.2)
     out, report = pp.glue(inner_state=v, outer_state=u, spec=spec, budget=0.1)
     assert [s.direction for s in report.stages] == ["rising", "falling"]
     r = radial(dom)
@@ -145,8 +147,9 @@ def test_glue_two_stage_for_unordered_states():
 def full_grid_scan(lo_vals, hi_vals, domain, epsilon, spec, direction, radii):
     """Scan energies from every cell of the grid: the cell density times the
     cell weight, kept where the anchor lies in the open annulus and the
-    anchor's ramp value lies strictly between the two states."""
-    profile = pp.sloped_profile(epsilon, spec.theta)
+    anchor's ramp value lies strictly between the two states, which have
+    M = 1."""
+    profile = interpolation._ramp_profile(epsilon, 1.0, spec.delta)
     r_nodes = radial(domain)
     anchor = (slice(None, -1),) * domain.dim
     in_annulus = (r_nodes[anchor] > spec.rho) & (r_nodes[anchor] < spec.outer_radius)
@@ -171,7 +174,7 @@ def test_glue_annulus_scan_matches_full_grid_ordered_ball():
     r = radial(dom)
     u = pp.transition_profile(eps, 0.7 - r)
     v = pp.transition_profile(eps, 0.65 - r)
-    spec = pp.AnnulusSpec(0.6, 0.2, 1.0)
+    spec = pp.AnnulusSpec(0.6, 0.2)
     _, report = pp.glue(
         pp.PhaseState(pp.ScalarField(dom, v), eps, 1.0),
         pp.PhaseState(pp.ScalarField(dom, u), eps, 1.0),
@@ -189,7 +192,7 @@ def test_glue_annulus_scan_matches_full_grid_unordered_ball():
     # shifted discs: each state is the larger one on its side of the annulus
     u = pp.transition_profile(eps, 0.65 - np.hypot(x - 0.1, y))
     v = pp.transition_profile(eps, 0.65 - np.hypot(x + 0.1, y))
-    spec = pp.AnnulusSpec(0.6, 0.2, 1.0)
+    spec = pp.AnnulusSpec(0.6, 0.2)
     _, report = pp.glue(
         pp.PhaseState(pp.ScalarField(dom, v), eps, 1.0),
         pp.PhaseState(pp.ScalarField(dom, u), eps, 1.0),
@@ -197,13 +200,14 @@ def test_glue_annulus_scan_matches_full_grid_unordered_ball():
         budget=1e3,
     )
     rising, falling = report.stages
-    spec_outer = pp.AnnulusSpec(0.7, 0.1, 1.0)
-    spec_inner = pp.AnnulusSpec(0.6, 0.1, 1.0)
+    spec_outer = pp.AnnulusSpec(0.7, 0.1)
+    spec_inner = pp.AnnulusSpec(0.6, 0.1)
     m = np.minimum(u, v)
     assert_scan_matches(
         rising, full_grid_scan(m, u, dom, eps, spec_outer, "rising", rising.scan_radii)
     )
-    ramp = pp.sloped_profile(eps, spec_outer.theta).value(radial(dom) - rising.r_star)
+    profile = interpolation._ramp_profile(eps, 1.0, spec_outer.delta)
+    ramp = profile.value(radial(dom) - rising.r_star)
     w1 = np.minimum(u, np.maximum(m, ramp))
     assert_scan_matches(
         falling, full_grid_scan(w1, v, dom, eps, spec_inner, "falling", falling.scan_radii)
@@ -215,7 +219,7 @@ def test_glue_annulus_scan_matches_full_grid_interval():
     eps = 1e-2
     v = pp.transition_profile(eps, 0.7 - radial(dom))
     u = np.ones(dom.node_shape)
-    spec = pp.AnnulusSpec(0.6, 0.2, 1.0)
+    spec = pp.AnnulusSpec(0.6, 0.2)
     _, report = pp.glue(
         pp.PhaseState(pp.ScalarField(dom, v), eps, 1.0),
         pp.PhaseState(pp.ScalarField(dom, u), eps, 1.0),
@@ -232,17 +236,38 @@ def test_glue_rejects_mismatched_states():
     eps = 1e-2
     a = pp.PhaseState(pp.ScalarField(dom, np.zeros(dom.node_shape)), eps, 1.0)
     b = pp.PhaseState(pp.ScalarField(other, np.zeros(other.node_shape)), eps, 1.0)
-    spec = pp.AnnulusSpec(0.6, 0.2, 1.0)
+    spec = pp.AnnulusSpec(0.6, 0.2)
     with pytest.raises(DomainError):
         pp.glue(a, b, spec, budget=1.0)
     c = pp.PhaseState(pp.ScalarField(dom, np.zeros(dom.node_shape)), 2e-2, 1.0)
     with pytest.raises(DomainError):
         pp.glue(a, c, spec, budget=1.0)
+    d = pp.PhaseState(pp.ScalarField(dom, np.zeros(dom.node_shape)), eps, 2.0)
+    for inner, outer in ((a, d), (d, a)):
+        with pytest.raises(DomainError, match="same amplitude bound"):
+            pp.glue(inner, outer, spec, budget=1.0)
     with pytest.raises(DomainError):
         pp.glue(a, a, spec, budget=0.0)
     # annulus sticking out of the domain
     with pytest.raises(DomainError):
-        pp.glue(a, a, pp.AnnulusSpec(0.9, 0.3, 1.0), budget=1.0)
+        pp.glue(a, a, pp.AnnulusSpec(0.9, 0.3), budget=1.0)
+
+
+def test_descent_and_glue_results_keep_their_inputs_bound():
+    dom = pp.Domain.interval(-1.0, 1.0, 256)
+    eps, bound_m = 1e-2, 2.0
+    vals = 1.5 * dom.nodes_x
+    initial = pp.PhaseState(pp.ScalarField(dom, vals), eps, bound_m)
+    descent = pp.minimize_e_eps(initial, max_iters=50)
+    assert descent.state.bound_m == bound_m
+    # the interior is clipped to [-2, 2], not to [-1, 1]
+    assert np.max(np.abs(descent.state.values[1:-1])) > 1.0
+    two = bound_m * np.ones(dom.node_shape)
+    inner, outer = _profile_states(dom, eps, -two, two, bound_m)
+    glued, _ = pp.glue(inner, outer, pp.AnnulusSpec(0.6, 0.2), budget=1e6)
+    assert glued.bound_m == bound_m
+    # the ramp saturates to +/- M inside the annulus
+    assert np.min(glued.values) == -bound_m and np.max(glued.values) == bound_m
 
 
 def test_barrier_1d_bound():
@@ -346,15 +371,15 @@ def full_grid_glue(inner, outer, spec):
     u, v = outer.values, inner.values
     radial = interpolation._radial_nodes(domain)
     if np.all(u >= v):
-        profile = pp.sloped_profile(eps, spec.theta)
+        profile = interpolation._ramp_profile(eps, inner.bound_m, spec.delta)
         out, energies, r_star = annulus_wide_stage(
             v, u, radial, domain, eps, spec, "rising", profile
         )
         return out, [(energies, r_star)], whole_grid_gaps(out, u, radial, domain, eps, spec)
     half = spec.delta / 2.0
-    spec_outer = pp.AnnulusSpec(spec.rho + half, half, spec.bound_m)
-    spec_inner = pp.AnnulusSpec(spec.rho, half, spec.bound_m)
-    profile = pp.sloped_profile(eps, spec_outer.theta)
+    spec_outer = pp.AnnulusSpec(spec.rho + half, half)
+    spec_inner = pp.AnnulusSpec(spec.rho, half)
+    profile = interpolation._ramp_profile(eps, inner.bound_m, half)
     w1, e1, r1 = annulus_wide_stage(
         np.minimum(u, v), u, radial, domain, eps, spec_outer, "rising", profile
     )
@@ -450,7 +475,7 @@ _BAND_CASES = {
 @pytest.mark.parametrize("name", list(_BAND_CASES))
 def test_glue_band_limited_equals_full_grid_bitwise(name):
     inner, outer = _band_case(name)
-    spec = pp.AnnulusSpec(0.6, 0.2, inner.bound_m)
+    spec = pp.AnnulusSpec(0.6, 0.2)
     inner_bytes, outer_bytes = inner.values.tobytes(), outer.values.tobytes()
     out, report = pp.glue(inner, outer, spec, budget=1e6)
     # each stage composes into a buffer glue owns, never into an input
@@ -473,7 +498,7 @@ def test_glue_of_fortran_ordered_states_is_bitwise_the_same(name):
     # the band is scattered back by flat index, which must reach the
     # buffer itself whatever its memory layout
     inner, outer = _band_case(name)
-    spec = pp.AnnulusSpec(0.6, 0.2, inner.bound_m)
+    spec = pp.AnnulusSpec(0.6, 0.2)
     ref, _ = pp.glue(inner, outer, spec, budget=1e6)
     f_inner, f_outer = _profile_states(
         inner.domain, inner.epsilon, np.asfortranarray(inner.values), np.asfortranarray(outer.values),
@@ -500,7 +525,7 @@ def test_glue_evaluates_no_ramp_where_the_states_agree(name, monkeypatch):
         return value(self, s)
 
     monkeypatch.setattr(pp.SlopedProfile, "value", counted)
-    _, report = pp.glue(inner, outer, pp.AnnulusSpec(0.6, 0.2, 1.0), budget=1e6)
+    _, report = pp.glue(inner, outer, pp.AnnulusSpec(0.6, 0.2), budget=1e6)
     assert callers == ["_glue_stage"] * len(report.stages)
     for stage in report.stages:
         assert not np.any(stage.scan_energies)

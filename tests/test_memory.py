@@ -80,7 +80,7 @@ def kernels(tmp_path_factory):
         pp.build_recovery(pp.SharpPair(pp.ScalarField(dom, zeros), region=pp.Disc(c, 0.25)), EPS)[0]
         for c in ((0.0, 0.0), (0.1, 0.0))
     )
-    spec = pp.AnnulusSpec(0.6, 0.2, 1.0)
+    spec = pp.AnnulusSpec(0.6, 0.2)
     scaled = u.values / math.sqrt(EPS)
     disc = pp.Disc((0.1, 0.0), 0.7)
     inner_disc = pp.Disc((0.0, 0.0), 0.5)

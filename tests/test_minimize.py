@@ -162,10 +162,10 @@ def _reference_project(values, bound_m, boundary_mask, boundary_values):
     return out
 
 
-def _reference_descent(initial, config):
+def _reference_descent(initial, *, max_iters, tol_grad):
     domain = initial.domain
     epsilon = initial.epsilon
-    bound_m = config.bound_m
+    bound_m = initial.bound_m
     boundary = domain.boundary_mask
     boundary_values = initial.values
 
@@ -179,12 +179,12 @@ def _reference_descent(initial, config):
 
     current = total_energy(u)
     energies = [current]
-    for iterations in range(config.max_iters + 1):
+    for iterations in range(max_iters + 1):
         g = _reference_gradient(u, domain, epsilon)
         projected = _reference_project(u - g, bound_m, boundary, boundary_values)
         grad_sup = float(np.max(np.abs(u - projected)))
-        converged = grad_sup <= config.tol_grad
-        if converged or iterations == config.max_iters:
+        converged = grad_sup <= tol_grad
+        if converged or iterations == max_iters:
             break
         step = base_step
         for _ in range(minimize._MAX_HALVINGS + 1):
@@ -210,19 +210,19 @@ def _reference_descent(initial, config):
 
 
 def _descent_case(name):
-    """(initial state, config) of a named descent."""
+    """(initial state, stop rule keywords) of a named descent."""
     if name in ("zero", "linear"):
         dom = pp.Domain.interval(-1.0, 1.0, 512)
         vals = np.zeros(dom.node_shape) if name == "zero" else dom.nodes_x.copy()
         vals[0], vals[-1] = -1.0, 1.0
         state = pp.PhaseState(pp.ScalarField(dom, vals), 1e-2, 2.0)
-        return state, pp.MinimizeConfig(bound_m=2.0, max_iters=1500, tol_grad=1e-4)
+        return state, dict(max_iters=1500, tol_grad=1e-4)
     if name == "bound_active":
         # sqrt(eps) = 0.3 > M = 0.2: the well pushes the state onto the bound,
         # the line search halves, and the descent converges.
         dom = pp.Domain.interval(-1.0, 1.0, 256)
         state = pp.PhaseState(pp.ScalarField(dom, 0.2 * dom.nodes_x), 0.09, 0.2)
-        return state, pp.MinimizeConfig(bound_m=0.2, max_iters=3000, tol_grad=1e-5)
+        return state, dict(max_iters=3000, tol_grad=1e-5)
     # At n=98 rounding puts four array-edge nodes of the ball a few ulp
     # inside the circle; they are boundary nodes all the same.
     dom = {
@@ -243,7 +243,7 @@ def _descent_case(name):
         vals[0, ::3] = 1.0 + 1e-13
         vals = np.asfortranarray(vals)
     state = pp.PhaseState(pp.ScalarField(dom, vals), 2e-3, 1.0)
-    return state, pp.MinimizeConfig(bound_m=1.0, max_iters=300, tol_grad=1e-6)
+    return state, dict(max_iters=300, tol_grad=1e-6)
 
 
 @pytest.mark.parametrize(
@@ -251,10 +251,10 @@ def _descent_case(name):
     ["zero", "linear", "bound_active", "box", "box_fortran", "ball", "ball98", "ball98_off_centre"],
 )
 def test_descent_is_bitwise_the_out_of_place_reference(name):
-    initial, config = _descent_case(name)
+    initial, stop = _descent_case(name)
     before = initial.values.copy()
-    result = pp.minimize_e_eps(initial, config)
-    expected = _reference_descent(initial, config)
+    result = pp.minimize_e_eps(initial, **stop)
+    expected = _reference_descent(initial, **stop)
     assert result.state.values.tobytes() == expected.state.values.tobytes()
     assert result.energies.tobytes() == expected.energies.tobytes()
     assert result.grad_sup == expected.grad_sup
@@ -263,7 +263,7 @@ def test_descent_is_bitwise_the_out_of_place_reference(name):
     assert initial.values.tobytes() == before.tobytes()
     if name == "bound_active":
         assert result.converged
-        assert np.any(np.abs(result.state.values[1:-1]) == config.bound_m)
+        assert np.any(np.abs(result.state.values[1:-1]) == initial.bound_m)
 
 
 @pytest.mark.parametrize("name", ["zero", "box", "ball", "ball98", "ball98_off_centre"])
@@ -303,13 +303,17 @@ def test_sweep_is_bitwise_the_sweep_over_the_reference_descent(monkeypatch):
         assert [getattr(entry, f) for f in fields] == [getattr(ref, f) for f in fields]
 
 
-def test_minimize_config_validation():
-    with pytest.raises(DomainError):
-        pp.MinimizeConfig(bound_m=0.0)
-    with pytest.raises(DomainError):
-        pp.MinimizeConfig(bound_m=1.0, max_iters=-1)
-    with pytest.raises(DomainError):
-        pp.MinimizeConfig(bound_m=1.0, tol_grad=0.0)
+def test_minimize_rejects_a_bad_stop_rule_before_any_step(monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("a descent step was computed before the stop rule was checked")
+
+    monkeypatch.setattr(minimize, "energy_gradient", work)
+    dom = pp.Domain.interval(-1.0, 1.0, 64)
+    state = pp.PhaseState(pp.ScalarField(dom, dom.nodes_x.copy()), 1e-2, 1.0)
+    with pytest.raises(DomainError, match="max_iters must be nonnegative, got -1"):
+        pp.minimize_e_eps(state, max_iters=-1)
+    with pytest.raises(DomainError, match="tol_grad must be positive, got 0.0"):
+        pp.minimize_e_eps(state, tol_grad=0.0)
 
 
 def test_profile_initial_state_is_already_critical():
@@ -319,9 +323,7 @@ def test_profile_initial_state_is_already_critical():
     dom = pp.Domain.interval(-1.0, 1.0, 4096)
     vals = pp.transition_profile(eps, dom.nodes_x)
     state = pp.PhaseState(pp.ScalarField(dom, vals), eps, 1.0)
-    result = pp.minimize_e_eps(
-        state, pp.MinimizeConfig(bound_m=1.0, max_iters=100, tol_grad=1e-3)
-    )
+    result = pp.minimize_e_eps(state, max_iters=100, tol_grad=1e-3)
     assert result.converged
     assert result.iterations == 0
     assert np.array_equal(result.state.values, vals)
@@ -331,9 +333,7 @@ def test_descent_monotone_and_boundary_pinned():
     dom = pp.Domain.interval(-1.0, 1.0, 256)
     x = dom.nodes_x
     state = pp.PhaseState(pp.ScalarField(dom, x.copy()), 5e-2, 1.0)
-    result = pp.minimize_e_eps(
-        state, pp.MinimizeConfig(bound_m=1.0, max_iters=2000, tol_grad=1e-4)
-    )
+    result = pp.minimize_e_eps(state, max_iters=2000, tol_grad=1e-4)
     energies = result.energies
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
     assert result.state.values[0] == -1.0
@@ -346,12 +346,12 @@ def test_descent_monotone_and_boundary_pinned():
 def test_recorded_energy_is_the_final_state_energy():
     dom = pp.Domain.interval(-1.0, 1.0, 256)
     state = pp.PhaseState(pp.ScalarField(dom, dom.nodes_x.copy()), 5e-2, 1.0)
-    result = pp.minimize_e_eps(state, pp.MinimizeConfig(bound_m=1.0, max_iters=300))
+    result = pp.minimize_e_eps(state, max_iters=300)
     assert result.energies[-1] == pytest.approx(pp.e_eps(result.state).total, rel=1e-12)
     box = pp.Domain.box(-1.0, 1.0, 32)
     vals = np.clip(np.random.default_rng(5).normal(0.0, 0.3, box.node_shape), -0.9, 0.9)
     state = pp.PhaseState(pp.ScalarField(box, vals), 5e-2, 1.0)
-    result = pp.minimize_e_eps(state, pp.MinimizeConfig(bound_m=1.0, max_iters=50))
+    result = pp.minimize_e_eps(state, max_iters=50)
     assert result.energies[-1] == pytest.approx(pp.e_eps(result.state).total, rel=1e-12)
 
 
@@ -365,9 +365,7 @@ def test_zero_and_linear_inits_agree():
         vals = np.zeros_like(dom.nodes_x) if name == "zero" else dom.nodes_x.copy()
         vals[0], vals[-1] = -1.0, 1.0
         state = pp.PhaseState(pp.ScalarField(dom, vals), eps, 2.0)
-        result = pp.minimize_e_eps(
-            state, pp.MinimizeConfig(bound_m=2.0, max_iters=60000, tol_grad=1e-4)
-        )
+        result = pp.minimize_e_eps(state, max_iters=60000, tol_grad=1e-4)
         totals[name] = pp.e_eps(result.state).total
         crossings = pp.sign_change_locations(result.state.field)
         assert len(crossings) == 1
@@ -548,7 +546,7 @@ def _layout_results(domain, values, epsilon):
     # the kernels get the view itself.
     field.values = values
     state = pp.PhaseState(field, epsilon, 1.0)
-    descent = pp.minimize_e_eps(state, pp.MinimizeConfig(max_iters=30, tol_grad=1e-12))
+    descent = pp.minimize_e_eps(state, max_iters=30, tol_grad=1e-12)
     results = {
         "e_eps": pp.e_eps(state),
         "tv_phase": pp.tv_phase(state),
